@@ -475,6 +475,39 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Pins the exact bytes of a harness row, bare and with every
+    /// optional block, so the writer cannot drift from the committed
+    /// `BENCH_harness.json` rows.
+    #[test]
+    fn json_rows_are_pinned() {
+        let mut t = sample("fig1", 4);
+        t.wall_secs = 1.23456;
+        assert_eq!(
+            t.to_json(),
+            r#"{"experiment":"fig1@t4","threads":4,"cells":6,"reps":4,"units":24,"wall_secs":1.2346,"cells_per_sec":4.8600,"units_per_sec":19.4401,"cache_hits":20,"cache_misses":4,"cache_hit_rate":0.8333}"#
+        );
+        t.peak_alloc_bytes = 272_000;
+        t.serve = Some(ServeStats {
+            p50_us: 900,
+            p90_us: 2_000,
+            p99_us: 4_200,
+            qps: 310.456,
+            questions_per_query: 6.123456,
+            plan_cache_hit_rate: 0.97,
+        });
+        t.summary = disq_trace::RunSummary::from_json(
+            &disq_trace::json::parse(
+                r#"{"counters":{"spend_millicents":1234,"allocs":7},"timers":{}}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(
+            t.to_json(),
+            r#"{"experiment":"fig1@t4","threads":4,"cells":6,"reps":4,"units":24,"wall_secs":1.2346,"cells_per_sec":4.8600,"units_per_sec":19.4401,"cache_hits":20,"cache_misses":4,"cache_hit_rate":0.8333,"peak_alloc_bytes":272000,"serve":{"p50_us":900,"p99_us":4200,"qps":310.46,"questions_per_query":6.1235,"plan_cache_hit_rate":0.9700,"p90_us":2000},"run_summary":{"counters":{"spend_millicents":1234,"allocs":7},"timers":{}}}"#
+        );
+    }
+
     #[test]
     fn zero_wall_time_is_finite() {
         let mut t = sample("fig1", 1);

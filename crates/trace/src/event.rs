@@ -1465,6 +1465,54 @@ mod tests {
         }
     }
 
+    /// Pins the encoded line of every sample byte for byte. Round-trip
+    /// equality alone would still pass a writer/parser pair that changed
+    /// the bytes symmetrically.
+    #[test]
+    fn encoded_lines_are_pinned() {
+        let golden = [
+            r#"{"event":"run_start","label":"pictures / {Bmi}","seed":42}"#,
+            r#"{"event":"phase_spend","phase":"examples","spent_millicents":123456,"delta_millicents":123456,"delta_questions":40,"by_kind":[{"kind":"example","questions":40,"millicents":123456}]}"#,
+            r#"{"event":"dismantle_choice","chosen":2,"scores":[{"index":0,"pr_new":0.5,"value":0.3333333333333333,"score":0.16666666666666666},{"index":2,"pr_new":0.25,"value":2,"score":0.5}]}"#,
+            r#"{"event":"dismantle_choice","chosen":null,"scores":[]}"#,
+            r#"{"event":"sprt_verdict","candidate":"Has \"Meat\"","parent":3,"accepted":true,"samples":7}"#,
+            r#"{"event":"trio_size","n_targets":2,"n_attrs":5}"#,
+            r#"{"event":"budget_step","label":"main","attr":1,"question":3,"objective":0.725}"#,
+            r#"{"event":"budget_chosen","label":"main","allocation":[5,10,0,3],"objective":0.81}"#,
+            r#"{"event":"regression_fit","target":0,"label":"Bmi","training_mse":4.25,"rows":58}"#,
+            r#"{"event":"spam_fallback","object":17,"attr":4,"answers":6}"#,
+            r#"{"event":"solver_fallback","label":"main","reason":"schur"}"#,
+            r#"{"event":"eval_calibration","label":"pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢","seed":3,"target":"Bmi","predicted_mse":3.75,"training_mse":4.25,"realized_mse":4.5,"n_objects":150}"#,
+            r#"{"event":"spam_decision","object":17,"attr":4,"answers":6,"kept":5,"median":23.5,"mad":2.9652}"#,
+            r#"{"event":"query_audit","query":12,"label":"pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢","seed":3,"target":"Bmi","n_objects":150,"predicted_mse":3.75,"training_mse":4.25,"realized_mse":4.5,"noise_mse":2.5,"model_mse":1.75,"cross_mse":0.25,"error_floor":1.5,"budget_truncation":2.25,"ci_level":0.95,"ci_coverage":0.9266666666666666,"attrs":[{"label":"Weight","questions":5,"batches":150,"answers":750,"dropped":12,"fallbacks":1,"planned_sc":40,"realized_sc":43.7},{"label":"Height","questions":3,"batches":150,"answers":450,"dropped":0,"fallbacks":0,"planned_sc":0.01,"realized_sc":0.008}]}"#,
+            r#"{"event":"object_audit","query":12,"label":"pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢","seed":3,"target":"Bmi","object":117,"truth":24,"estimate":25.5,"residual":1.5,"noise_err":1,"model_err":0.5,"ci_lo":21.7,"ci_hi":29.3,"in_ci":true}"#,
+            r#"{"event":"drift_update","label":"pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢","attr":"Weight","metric":"answer_var","reference":40,"ewma":0.35,"score":1.25,"threshold":5,"samples":150,"alarms":0}"#,
+            r#"{"event":"drift_detected","label":"pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢","attr":"Weight","metric":"spam_rate","observed":0.4,"reference":0,"score":5.2,"threshold":5,"sample":31}"#,
+            r#"{"event":"worker_profile","label":"pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢","worker":7,"sd_multiplier":1.62,"spam_propensity":0.85}"#,
+            r#"{"event":"worker_stats","label":"pictures/{Bmi} DisQ b_prc=$30 b_obj=4.0¢","seed":3,"worker":7,"binary_answers":12,"numeric_answers":88,"rejected":19,"spent_millicents":36400,"residual_n":81,"residual_sum":-2.5,"residual_sq":130.75}"#,
+            r#"{"event":"span_start","id":42,"parent":41,"tid":1,"req":7,"label":"dismantle_round","detail":"k=3"}"#,
+            r#"{"event":"span_start","id":43,"parent":null,"tid":2,"label":"preprocess","detail":""}"#,
+            r#"{"event":"span_end","id":42,"tid":1,"dur_ns":12345678,"alloc_bytes":8589934592,"allocs":9001,"questions":57,"kernel_ns":2000000}"#,
+            r#"{"event":"batch_flush","object":12,"attr":3,"k_max":5,"k_sum":9,"joiners":3,"reqs":[7,8,11]}"#,
+        ];
+        let lines: Vec<String> = samples().iter().map(TraceEvent::to_json).collect();
+        assert_eq!(lines, golden);
+        // Non-finite floats encode as null; negative zero keeps its sign.
+        let event = TraceEvent::EvalCalibration {
+            label: "x".into(),
+            seed: 3,
+            target: "Bmi".into(),
+            predicted_mse: f64::NAN,
+            training_mse: -0.0,
+            realized_mse: f64::NEG_INFINITY,
+            n_objects: 0,
+        };
+        assert_eq!(
+            event.to_json(),
+            r#"{"event":"eval_calibration","label":"x","seed":3,"target":"Bmi","predicted_mse":null,"training_mse":-0,"realized_mse":null,"n_objects":0}"#
+        );
+    }
+
     #[test]
     fn names_are_distinct() {
         let mut seen = std::collections::HashSet::new();
