@@ -172,7 +172,7 @@ fn field<'a>(j: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, DisqError> {
 
 fn as_f64_exact(j: &Json, ctx: &str) -> Result<f64, DisqError> {
     match j {
-        Json::Num(_) => Ok(j.as_f64().unwrap_or(f64::NAN)),
+        Json::Int(_) | Json::Num(_) => Ok(j.as_f64().unwrap_or(f64::NAN)),
         Json::Str(s) => {
             let hex = s.strip_prefix("bits:").ok_or_else(|| {
                 DisqError::Config(format!("plan store: bad float '{s}' in {ctx}"))
@@ -533,6 +533,23 @@ mod tests {
         // Other keys are still empty.
         assert!(store.load("pictures", "Bmi", 43).unwrap().is_none());
         assert!(store.load("pictures", "Age", 42).unwrap().is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Seeds need all 64 bits: a seed read back through an `f64` would
+    /// round, and `load` would then miss its own file.
+    #[test]
+    fn store_round_trips_seeds_above_2_pow_53() {
+        let dir = std::env::temp_dir().join(format!("disq-plan-seeds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = PlanStore::new(&dir);
+        let out = sample_output();
+        for seed in [u64::MAX, (1 << 53) + 1] {
+            let meta = PlanMeta { seed, ..meta() };
+            store.save(&out, &meta).unwrap();
+            let loaded = store.load("pictures", "Bmi", seed).unwrap().unwrap();
+            assert_eq!(output_to_json(&loaded, &meta), output_to_json(&out, &meta));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

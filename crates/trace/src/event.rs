@@ -5,1228 +5,660 @@
 //! JSON objects tagged `"event"` and parse back exactly (floats use
 //! Rust's shortest round-trip formatting; non-finite values encode as
 //! `null` and decode as NaN).
+//!
+//! The whole wire format is the one table in the [`wire_format!`]
+//! invocation below: each entry declares a variant's tag and its fields
+//! in wire order, and the macro emits the types, [`TraceEvent::name`],
+//! the writer and the parser from it. A field's JSON key is its Rust
+//! name; how a value is written and read is decided once per field type
+//! by [`Field`]. Adding an event or a field is one table edit.
 
 use crate::json::{self, write_f64, write_str, Json};
 use std::fmt::Write as _;
 
-/// Per-candidate term of one dismantle-target choice: the Eq. 8/9 score
-/// `Pr(new | a_j) · Σ_t ω_t [G − L]` and its factors.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CandidateScore {
-    /// Pool index of the candidate attribute.
-    pub index: u32,
-    /// `Pr(new | a_j) = 1/(n_j + 2)` (Eq. 4).
-    pub pr_new: f64,
-    /// The weighted gain-minus-loss sum `Σ_t ω_t [G − L]`.
-    pub value: f64,
-    /// The product actually ranked.
-    pub score: f64,
+/// How one field type is written into an event line and read back.
+trait Field: Sized {
+    /// Appends the value's JSON encoding to `out`.
+    fn write(&self, out: &mut String);
+    /// Decodes a present value; the error says what was expected.
+    fn read(v: &Json) -> Result<Self, String>;
 }
 
-/// Per-question-kind component of a phase's spend delta.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KindSpend {
-    /// Question kind label (the ledger's display name).
-    pub kind: String,
-    /// Questions of that kind asked during the phase.
-    pub questions: u64,
-    /// Milli-cents spent on that kind during the phase.
-    pub millicents: i64,
-}
-
-/// Per-attribute slice of a [`TraceEvent::QueryAudit`]: how one planned
-/// attribute's answer stream behaved against the plan's assumptions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttrAudit {
-    /// Planned attribute label.
-    pub label: String,
-    /// Questions per object the plan allocated (`b(a)`).
-    pub questions: u32,
-    /// Answer batches observed (= objects estimated).
-    pub batches: u64,
-    /// Raw answers asked across all batches.
-    pub answers: u64,
-    /// Answers the spam filter discarded.
-    pub dropped: u64,
-    /// Whole-batch rejections (estimator fell back to raw answers).
-    pub fallbacks: u64,
-    /// The trio's planned per-answer variance `S_c[a]`.
-    pub planned_sc: f64,
-    /// Mean within-batch sample variance of the answers actually
-    /// averaged (NaN when no batch kept ≥ 2 answers).
-    pub realized_sc: f64,
-}
-
-/// One structured trace record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A preprocessing run began.
-    RunStart {
-        /// Free-form run label (domain / query description).
-        label: String,
-        /// The algorithm seed.
-        seed: u64,
-    },
-    /// A `B_prc` phase boundary: ledger delta since the previous boundary.
-    PhaseSpend {
-        /// Phase that just ended (`examples`, `dismantle`, `refine`,
-        /// `regression`).
-        phase: String,
-        /// Cumulative ledger spend at the boundary, in milli-cents.
-        spent_millicents: i64,
-        /// Spend attributable to this phase, in milli-cents.
-        delta_millicents: i64,
-        /// Questions asked during this phase.
-        delta_questions: u64,
-        /// Non-zero per-kind breakdown of the delta.
-        by_kind: Vec<KindSpend>,
-    },
-    /// One `GetNextAttribute` decision with every candidate's score.
-    DismantleChoice {
-        /// Chosen pool index, or `None` when no candidate had positive
-        /// expected value (a stopping signal).
-        chosen: Option<u32>,
-        /// Scores of all scored candidates (empty under the `Random`
-        /// strategy, which skips scoring).
-        scores: Vec<CandidateScore>,
-    },
-    /// An SPRT verification dialogue concluded.
-    SprtVerdict {
-        /// The crowd-suggested attribute text under verification.
-        candidate: String,
-        /// Pool attribute it was suggested for (raw attribute id).
-        parent: u32,
-        /// `true` = accepted as relevant.
-        accepted: bool,
-        /// Worker answers the test consumed before deciding.
-        samples: u32,
-    },
-    /// Statistics-trio growth after an attribute was measured.
-    TrioSize {
-        /// Query targets tracked.
-        n_targets: u32,
-        /// Attributes currently in the trio.
-        n_attrs: u32,
-    },
-    /// One grant of the greedy budget-distribution loop.
-    BudgetStep {
-        /// Which top-level distribution call this belongs to (`main`,
-        /// `refine`, `fallback`).
-        label: String,
-        /// Pool index granted one more question.
-        attr: u32,
-        /// That attribute's question count after the grant.
-        question: u32,
-        /// Objective value after the grant.
-        objective: f64,
-    },
-    /// A finished greedy budget distribution.
-    BudgetChosen {
-        /// Same labels as [`TraceEvent::BudgetStep`].
-        label: String,
-        /// Final questions per pool attribute.
-        allocation: Vec<u32>,
-        /// Final objective value.
-        objective: f64,
-    },
-    /// A per-target regression was fitted.
-    RegressionFit {
-        /// Target index within the plan.
-        target: u32,
-        /// Target label.
-        label: String,
-        /// Realized training MSE (the plan-validation residual).
-        training_mse: f64,
-        /// Training rows the fit used.
-        rows: u32,
-    },
-    /// The online spam filter rejected an entire answer batch and the
-    /// estimator fell back to the unfiltered answers.
-    SpamFallback {
-        /// Object being estimated.
-        object: u64,
-        /// Attribute whose batch was wiped (raw attribute id).
-        attr: u32,
-        /// Batch size that was entirely rejected.
-        answers: u32,
-    },
-    /// The incremental (Sherman–Morrison) budget-distribution engine
-    /// hit a numerical breakdown and the call restarted on the dense
-    /// refactorize-per-candidate engine. Rare by construction — it fires
-    /// exactly where the dense engine's jitter rescue ladder would.
-    SolverFallback {
-        /// Which solve fell back: a top-level distribution label
-        /// (`main`, `refine`, `fallback`) or `probe` for a
-        /// next-attribute loss probe.
-        label: String,
-        /// Which incremental step broke down (e.g. `schur`,
-        /// `sherman_morrison`, `downdate`, `non_finite`).
-        reason: String,
-    },
-    /// One target's Err(b) calibration sample, emitted by the bench
-    /// runner after scoring a plan against ground truth: the paper's
-    /// predicted plan error joined with the realized per-object MSE.
-    /// Self-contained (no cross-event join key needed) because parallel
-    /// sweeps interleave events from many runs in one JSONL stream.
-    EvalCalibration {
-        /// Cell identity: domain, query, strategy and budgets.
-        label: String,
-        /// Repetition seed of the run.
-        seed: u64,
-        /// Target attribute label.
-        target: String,
-        /// `Err(b) = Var(a_t) − S_oᵀ(S_a + Diag(S_c/b))⁻¹S_o` at the
-        /// chosen budget (NaN when the strategy has no trio, e.g.
-        /// NaiveAverage).
-        predicted_mse: f64,
-        /// The plan regression's realized training MSE.
-        training_mse: f64,
-        /// Realized per-object MSE against bench ground truth.
-        realized_mse: f64,
-        /// Held-out objects the realized MSE averaged over.
-        n_objects: u32,
-    },
-    /// The online spam filter discarded at least one answer from a
-    /// batch: the filter's decision statistics, surfaced so error
-    /// attribution can see *why* answers were dropped.
-    SpamDecision {
-        /// Object being estimated.
-        object: u64,
-        /// Attribute whose batch was filtered (raw attribute id).
-        attr: u32,
-        /// Raw batch size.
-        answers: u32,
-        /// Answers that survived the filter.
-        kept: u32,
-        /// Batch median the filter centred on.
-        median: f64,
-        /// Scaled median absolute deviation (the filter's spread
-        /// estimate; 0 when a majority answered identically).
-        mad: f64,
-    },
-    /// One query target's full error-attribution ledger, assembled by
-    /// the bench runner after scoring a plan against ground truth. The
-    /// realized per-object MSE decomposes as
-    /// `noise_mse + model_mse + cross_mse` (exact per-object algebra:
-    /// residual = crowd-noise error through the regression + the
-    /// regression's own model error on true attribute values).
-    /// Self-contained like [`TraceEvent::EvalCalibration`].
-    QueryAudit {
-        /// Process-unique audit id correlating this ledger with its
-        /// [`TraceEvent::ObjectAudit`] rows. `(label, seed, target)` is
-        /// *not* unique — sweeps rerun the same cell identity per budget
-        /// point, possibly concurrently, interleaving their rows.
-        query: u64,
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Repetition seed of the run.
-        seed: u64,
-        /// Target attribute label.
-        target: String,
-        /// Held-out objects audited.
-        n_objects: u32,
-        /// Predicted `Err(b)` at the chosen budget (Eq. 2).
-        predicted_mse: f64,
-        /// The plan regression's training MSE.
-        training_mse: f64,
-        /// Realized per-object MSE against ground truth.
-        realized_mse: f64,
-        /// Mean squared crowd-noise error: `(ŷ − ỹ)²` where `ỹ` is the
-        /// regression applied to *true* attribute values.
-        noise_mse: f64,
-        /// Mean squared model error: `(ỹ − y)²`.
-        model_mse: f64,
-        /// Twice the mean noise×model cross term (completes the exact
-        /// decomposition; near zero when the two are independent).
-        cross_mse: f64,
-        /// Predicted `Err(b)` at an effectively unbounded budget — the
-        /// error floor the regression could reach with infinite answers.
-        error_floor: f64,
-        /// `predicted_mse − error_floor`: the loss attributable to
-        /// truncating the per-object budget at `B_obj`.
-        budget_truncation: f64,
-        /// Nominal two-sided confidence level of the per-object
-        /// intervals (e.g. 0.95).
-        ci_level: f64,
-        /// Fraction of audited objects whose true value fell inside
-        /// `estimate ± z·√predicted_mse`.
-        ci_coverage: f64,
-        /// Per-planned-attribute answer-stream audit.
-        attrs: Vec<AttrAudit>,
-    },
-    /// One audited object's residual and confidence interval (the
-    /// per-object grain under a [`TraceEvent::QueryAudit`]).
-    ObjectAudit {
-        /// The owning [`TraceEvent::QueryAudit`]'s audit id.
-        query: u64,
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Repetition seed of the run.
-        seed: u64,
-        /// Target attribute label.
-        target: String,
-        /// Audited object.
-        object: u64,
-        /// Ground-truth target value.
-        truth: f64,
-        /// The plan's estimate.
-        estimate: f64,
-        /// `estimate − truth`.
-        residual: f64,
-        /// Crowd-noise component of the residual (`ŷ − ỹ`).
-        noise_err: f64,
-        /// Model component of the residual (`ỹ − y`).
-        model_err: f64,
-        /// Lower edge of the predicted confidence interval.
-        ci_lo: f64,
-        /// Upper edge of the predicted confidence interval.
-        ci_hi: f64,
-        /// Whether the truth fell inside `[ci_lo, ci_hi]`.
-        in_ci: bool,
-    },
-    /// Final state of one drift detector after an audited run: the
-    /// always-emitted companion of [`TraceEvent::DriftDetected`] (which
-    /// only fires on alarms), so coverage gates can require it.
-    DriftUpdate {
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Monitored attribute label.
-        attr: String,
-        /// Monitored metric: `answer_var` or `spam_rate`.
-        metric: String,
-        /// Planned reference value the stream is compared against.
-        reference: f64,
-        /// EWMA of the standardized deviations from the reference.
-        ewma: f64,
-        /// Current two-sided CUSUM score (max of both sides, in sigmas).
-        score: f64,
-        /// CUSUM decision threshold `h`.
-        threshold: f64,
-        /// Batches the detector absorbed.
-        samples: u64,
-        /// Alarms raised over the run.
-        alarms: u64,
-    },
-    /// A drift detector crossed its decision threshold: the realized
-    /// answer stream departed from the plan's assumptions. This is the
-    /// trigger signal a streaming replanning engine consumes.
-    DriftDetected {
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Monitored attribute label.
-        attr: String,
-        /// Monitored metric: `answer_var` or `spam_rate`.
-        metric: String,
-        /// The observation that tripped the alarm.
-        observed: f64,
-        /// Planned reference value.
-        reference: f64,
-        /// CUSUM score just before the alarm reset (exceeds
-        /// `threshold`).
-        score: f64,
-        /// CUSUM decision threshold `h`.
-        threshold: f64,
-        /// 1-based index of the tripping batch in the stream.
-        sample: u64,
-    },
-    /// Planted quality profile of one worker in the simulated pool,
-    /// emitted per audited repetition (deterministic, so re-emission is
-    /// idempotent) so scorecards can compare observed behaviour against
-    /// the planted truth.
-    WorkerProfile {
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Worker index within the pool.
-        worker: u32,
-        /// Planted noise-sd multiplier (1.0 in the homogeneous model).
-        sd_multiplier: f64,
-        /// Planted spam propensity (0.0 for honest workers).
-        spam_propensity: f64,
-    },
-    /// Observed per-worker tallies of one audited repetition: the
-    /// provenance side of the audit ledger.
-    WorkerStats {
-        /// Cell identity: domain / query / strategy.
-        label: String,
-        /// Repetition seed of the run.
-        seed: u64,
-        /// Worker index within the pool.
-        worker: u32,
-        /// Binary value answers attributed to the worker.
-        binary_answers: u64,
-        /// Numeric value answers attributed to the worker.
-        numeric_answers: u64,
-        /// Answers the spam filter rejected.
-        rejected: u64,
-        /// Millicents charged for the worker's answers.
-        spent_millicents: i64,
-        /// Standardized residuals recorded (kept answers of well-formed
-        /// batches).
-        residual_n: u64,
-        /// Sum of those standardized residuals.
-        residual_sum: f64,
-        /// Sum of their squares (raw moments add exactly across reps).
-        residual_sq: f64,
-    },
-    /// A hierarchical span opened (see [`crate::span`]). Matched by
-    /// exactly one [`TraceEvent::SpanEnd`] with the same `id`.
-    SpanStart {
-        /// Process-unique span id.
-        id: u64,
-        /// Innermost open span on the same thread at open time, if any.
-        parent: Option<u64>,
-        /// Trace-thread id of the opening thread (1-based).
-        tid: u64,
-        /// Request id scoped onto the opening thread (see
-        /// [`crate::span::enter_request`]); 0 = no request context.
-        req: u64,
-        /// Static span label (`preprocess`, `dismantle_round`, …).
-        label: String,
-        /// Free-form detail (`k=3`, a target name, …); may be empty.
-        detail: String,
-    },
-    /// A span closed; carries the resources attributed to it (cumulative
-    /// over the span's lifetime on its own thread — children included).
-    SpanEnd {
-        /// Matches the [`TraceEvent::SpanStart`] id.
-        id: u64,
-        /// Trace-thread id of the closing thread.
-        tid: u64,
-        /// Wall-clock nanoseconds the span was open.
-        dur_ns: u64,
-        /// Bytes requested from the allocator while open (0 unless
-        /// [`crate::CountingAlloc`] is the global allocator).
-        alloc_bytes: u64,
-        /// Allocator calls while open.
-        allocs: u64,
-        /// Crowd questions charged while open (any kind).
-        questions: u64,
-        /// Kernel-timer nanoseconds recorded while open.
-        kernel_ns: u64,
-    },
-    /// The micro-batcher flushed one coalesced `(object, attribute)`
-    /// cell to the crowd platform, answering every sharer at once. The
-    /// flush runs on the leading request's thread; `reqs` preserves the
-    /// causal link to every other request whose questions rode along.
-    BatchFlush {
-        /// Object id of the coalesced cell.
-        object: u64,
-        /// Attribute id of the coalesced cell.
-        attr: u32,
-        /// Questions actually asked (the max over sharers).
-        k_max: u32,
-        /// Questions requested across all sharers.
-        k_sum: u32,
-        /// Number of requests sharing the flush.
-        joiners: u32,
-        /// Request ids of every participant (sorted, deduplicated;
-        /// 0 = a participant outside any request scope).
-        reqs: Vec<u64>,
-    },
-}
-
-impl TraceEvent {
-    /// The `"event"` tag of the JSON encoding.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::RunStart { .. } => "run_start",
-            TraceEvent::PhaseSpend { .. } => "phase_spend",
-            TraceEvent::DismantleChoice { .. } => "dismantle_choice",
-            TraceEvent::SprtVerdict { .. } => "sprt_verdict",
-            TraceEvent::TrioSize { .. } => "trio_size",
-            TraceEvent::BudgetStep { .. } => "budget_step",
-            TraceEvent::BudgetChosen { .. } => "budget_chosen",
-            TraceEvent::RegressionFit { .. } => "regression_fit",
-            TraceEvent::SpamFallback { .. } => "spam_fallback",
-            TraceEvent::SolverFallback { .. } => "solver_fallback",
-            TraceEvent::EvalCalibration { .. } => "eval_calibration",
-            TraceEvent::SpamDecision { .. } => "spam_decision",
-            TraceEvent::QueryAudit { .. } => "query_audit",
-            TraceEvent::ObjectAudit { .. } => "object_audit",
-            TraceEvent::DriftUpdate { .. } => "drift_update",
-            TraceEvent::DriftDetected { .. } => "drift_detected",
-            TraceEvent::WorkerProfile { .. } => "worker_profile",
-            TraceEvent::WorkerStats { .. } => "worker_stats",
-            TraceEvent::SpanStart { .. } => "span_start",
-            TraceEvent::SpanEnd { .. } => "span_end",
-            TraceEvent::BatchFlush { .. } => "batch_flush",
-        }
-    }
-
-    /// Serializes to one line of JSON (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"event\":");
-        write_str(&mut s, self.name());
-        match self {
-            TraceEvent::RunStart { label, seed } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"seed\":{seed}");
+macro_rules! scalar_fields {
+    ($($t:ty: $read:expr;)*) => {$(
+        impl Field for $t {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
             }
-            TraceEvent::PhaseSpend {
-                phase,
-                spent_millicents,
-                delta_millicents,
-                delta_questions,
-                by_kind,
-            } => {
-                s.push_str(",\"phase\":");
-                write_str(&mut s, phase);
-                let _ = write!(
-                    s,
-                    ",\"spent_millicents\":{spent_millicents},\
-                     \"delta_millicents\":{delta_millicents},\
-                     \"delta_questions\":{delta_questions},\"by_kind\":["
-                );
-                for (i, k) in by_kind.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str("{\"kind\":");
-                    write_str(&mut s, &k.kind);
-                    let _ = write!(
-                        s,
-                        ",\"questions\":{},\"millicents\":{}}}",
-                        k.questions, k.millicents
-                    );
-                }
-                s.push(']');
-            }
-            TraceEvent::DismantleChoice { chosen, scores } => {
-                match chosen {
-                    Some(c) => {
-                        let _ = write!(s, ",\"chosen\":{c}");
-                    }
-                    None => s.push_str(",\"chosen\":null"),
-                }
-                s.push_str(",\"scores\":[");
-                for (i, c) in scores.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{{\"index\":{},\"pr_new\":", c.index);
-                    write_f64(&mut s, c.pr_new);
-                    s.push_str(",\"value\":");
-                    write_f64(&mut s, c.value);
-                    s.push_str(",\"score\":");
-                    write_f64(&mut s, c.score);
-                    s.push('}');
-                }
-                s.push(']');
-            }
-            TraceEvent::SprtVerdict {
-                candidate,
-                parent,
-                accepted,
-                samples,
-            } => {
-                s.push_str(",\"candidate\":");
-                write_str(&mut s, candidate);
-                let _ = write!(
-                    s,
-                    ",\"parent\":{parent},\"accepted\":{accepted},\"samples\":{samples}"
-                );
-            }
-            TraceEvent::TrioSize { n_targets, n_attrs } => {
-                let _ = write!(s, ",\"n_targets\":{n_targets},\"n_attrs\":{n_attrs}");
-            }
-            TraceEvent::BudgetStep {
-                label,
-                attr,
-                question,
-                objective,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"attr\":{attr},\"question\":{question},\"objective\":");
-                write_f64(&mut s, *objective);
-            }
-            TraceEvent::BudgetChosen {
-                label,
-                allocation,
-                objective,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"allocation\":[");
-                for (i, b) in allocation.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{b}");
-                }
-                s.push_str("],\"objective\":");
-                write_f64(&mut s, *objective);
-            }
-            TraceEvent::RegressionFit {
-                target,
-                label,
-                training_mse,
-                rows,
-            } => {
-                let _ = write!(s, ",\"target\":{target},\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"training_mse\":");
-                write_f64(&mut s, *training_mse);
-                let _ = write!(s, ",\"rows\":{rows}");
-            }
-            TraceEvent::SpamFallback {
-                object,
-                attr,
-                answers,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"object\":{object},\"attr\":{attr},\"answers\":{answers}"
-                );
-            }
-            TraceEvent::SolverFallback { label, reason } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"reason\":");
-                write_str(&mut s, reason);
-            }
-            TraceEvent::EvalCalibration {
-                label,
-                seed,
-                target,
-                predicted_mse,
-                training_mse,
-                realized_mse,
-                n_objects,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"seed\":{seed},\"target\":");
-                write_str(&mut s, target);
-                s.push_str(",\"predicted_mse\":");
-                write_f64(&mut s, *predicted_mse);
-                s.push_str(",\"training_mse\":");
-                write_f64(&mut s, *training_mse);
-                s.push_str(",\"realized_mse\":");
-                write_f64(&mut s, *realized_mse);
-                let _ = write!(s, ",\"n_objects\":{n_objects}");
-            }
-            TraceEvent::SpamDecision {
-                object,
-                attr,
-                answers,
-                kept,
-                median,
-                mad,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"object\":{object},\"attr\":{attr},\"answers\":{answers},\
-                     \"kept\":{kept},\"median\":"
-                );
-                write_f64(&mut s, *median);
-                s.push_str(",\"mad\":");
-                write_f64(&mut s, *mad);
-            }
-            TraceEvent::QueryAudit {
-                query,
-                label,
-                seed,
-                target,
-                n_objects,
-                predicted_mse,
-                training_mse,
-                realized_mse,
-                noise_mse,
-                model_mse,
-                cross_mse,
-                error_floor,
-                budget_truncation,
-                ci_level,
-                ci_coverage,
-                attrs,
-            } => {
-                let _ = write!(s, ",\"query\":{query},\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"seed\":{seed},\"target\":");
-                write_str(&mut s, target);
-                let _ = write!(s, ",\"n_objects\":{n_objects}");
-                for (name, value) in [
-                    ("predicted_mse", *predicted_mse),
-                    ("training_mse", *training_mse),
-                    ("realized_mse", *realized_mse),
-                    ("noise_mse", *noise_mse),
-                    ("model_mse", *model_mse),
-                    ("cross_mse", *cross_mse),
-                    ("error_floor", *error_floor),
-                    ("budget_truncation", *budget_truncation),
-                    ("ci_level", *ci_level),
-                    ("ci_coverage", *ci_coverage),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-                s.push_str(",\"attrs\":[");
-                for (i, a) in attrs.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str("{\"label\":");
-                    write_str(&mut s, &a.label);
-                    let _ = write!(
-                        s,
-                        ",\"questions\":{},\"batches\":{},\"answers\":{},\
-                         \"dropped\":{},\"fallbacks\":{},\"planned_sc\":",
-                        a.questions, a.batches, a.answers, a.dropped, a.fallbacks
-                    );
-                    write_f64(&mut s, a.planned_sc);
-                    s.push_str(",\"realized_sc\":");
-                    write_f64(&mut s, a.realized_sc);
-                    s.push('}');
-                }
-                s.push(']');
-            }
-            TraceEvent::ObjectAudit {
-                query,
-                label,
-                seed,
-                target,
-                object,
-                truth,
-                estimate,
-                residual,
-                noise_err,
-                model_err,
-                ci_lo,
-                ci_hi,
-                in_ci,
-            } => {
-                let _ = write!(s, ",\"query\":{query},\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"seed\":{seed},\"target\":");
-                write_str(&mut s, target);
-                let _ = write!(s, ",\"object\":{object}");
-                for (name, value) in [
-                    ("truth", *truth),
-                    ("estimate", *estimate),
-                    ("residual", *residual),
-                    ("noise_err", *noise_err),
-                    ("model_err", *model_err),
-                    ("ci_lo", *ci_lo),
-                    ("ci_hi", *ci_hi),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-                let _ = write!(s, ",\"in_ci\":{in_ci}");
-            }
-            TraceEvent::DriftUpdate {
-                label,
-                attr,
-                metric,
-                reference,
-                ewma,
-                score,
-                threshold,
-                samples,
-                alarms,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"attr\":");
-                write_str(&mut s, attr);
-                s.push_str(",\"metric\":");
-                write_str(&mut s, metric);
-                for (name, value) in [
-                    ("reference", *reference),
-                    ("ewma", *ewma),
-                    ("score", *score),
-                    ("threshold", *threshold),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-                let _ = write!(s, ",\"samples\":{samples},\"alarms\":{alarms}");
-            }
-            TraceEvent::DriftDetected {
-                label,
-                attr,
-                metric,
-                observed,
-                reference,
-                score,
-                threshold,
-                sample,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"attr\":");
-                write_str(&mut s, attr);
-                s.push_str(",\"metric\":");
-                write_str(&mut s, metric);
-                for (name, value) in [
-                    ("observed", *observed),
-                    ("reference", *reference),
-                    ("score", *score),
-                    ("threshold", *threshold),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-                let _ = write!(s, ",\"sample\":{sample}");
-            }
-            TraceEvent::WorkerProfile {
-                label,
-                worker,
-                sd_multiplier,
-                spam_propensity,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(s, ",\"worker\":{worker}");
-                for (name, value) in [
-                    ("sd_multiplier", *sd_multiplier),
-                    ("spam_propensity", *spam_propensity),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-            }
-            TraceEvent::WorkerStats {
-                label,
-                seed,
-                worker,
-                binary_answers,
-                numeric_answers,
-                rejected,
-                spent_millicents,
-                residual_n,
-                residual_sum,
-                residual_sq,
-            } => {
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                let _ = write!(
-                    s,
-                    ",\"seed\":{seed},\"worker\":{worker},\
-                     \"binary_answers\":{binary_answers},\
-                     \"numeric_answers\":{numeric_answers},\
-                     \"rejected\":{rejected},\
-                     \"spent_millicents\":{spent_millicents},\
-                     \"residual_n\":{residual_n}"
-                );
-                for (name, value) in [
-                    ("residual_sum", *residual_sum),
-                    ("residual_sq", *residual_sq),
-                ] {
-                    let _ = write!(s, ",\"{name}\":");
-                    write_f64(&mut s, value);
-                }
-            }
-            TraceEvent::SpanStart {
-                id,
-                parent,
-                tid,
-                req,
-                label,
-                detail,
-            } => {
-                let _ = write!(s, ",\"id\":{id},\"parent\":");
-                match parent {
-                    Some(p) => {
-                        let _ = write!(s, "{p}");
-                    }
-                    None => s.push_str("null"),
-                }
-                let _ = write!(s, ",\"tid\":{tid}");
-                // Only request-scoped spans carry the field, so traces
-                // from non-serving runs stay byte-identical.
-                if *req != 0 {
-                    let _ = write!(s, ",\"req\":{req}");
-                }
-                s.push_str(",\"label\":");
-                write_str(&mut s, label);
-                s.push_str(",\"detail\":");
-                write_str(&mut s, detail);
-            }
-            TraceEvent::SpanEnd {
-                id,
-                tid,
-                dur_ns,
-                alloc_bytes,
-                allocs,
-                questions,
-                kernel_ns,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"id\":{id},\"tid\":{tid},\"dur_ns\":{dur_ns},\
-                     \"alloc_bytes\":{alloc_bytes},\"allocs\":{allocs},\
-                     \"questions\":{questions},\"kernel_ns\":{kernel_ns}"
-                );
-            }
-            TraceEvent::BatchFlush {
-                object,
-                attr,
-                k_max,
-                k_sum,
-                joiners,
-                reqs,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"object\":{object},\"attr\":{attr},\"k_max\":{k_max},\
-                     \"k_sum\":{k_sum},\"joiners\":{joiners},\"reqs\":["
-                );
-                for (i, r) in reqs.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{r}");
-                }
-                s.push(']');
+            fn read(v: &Json) -> Result<Self, String> {
+                $read(v).ok_or_else(|| concat!("expected ", stringify!($t)).to_string())
             }
         }
-        s.push('}');
-        s
-    }
+    )*};
+}
 
-    /// Parses one JSONL line back into an event. Unknown object keys
-    /// (e.g. the `t_us` timestamp the JSONL sink splices in) are
-    /// ignored.
-    pub fn parse(line: &str) -> Result<TraceEvent, String> {
-        let v = json::parse(line)?;
-        TraceEvent::from_json(&v)
-    }
+scalar_fields! {
+    u64: Json::as_u64;
+    u32: |v: &Json| v.as_u64().and_then(|n| u32::try_from(n).ok());
+    i64: Json::as_i64;
+    bool: Json::as_bool;
+}
 
-    /// Decodes an already-parsed JSON object into an event (the working
-    /// half of [`TraceEvent::parse`]; [`crate::TraceReader`] calls this
-    /// directly so it can also read the line's timestamp).
-    pub fn from_json(v: &Json) -> Result<TraceEvent, String> {
-        let tag = v
-            .get("event")
-            .and_then(Json::as_str)
-            .ok_or("missing \"event\" tag")?;
-        let str_field = |name: &str| -> Result<String, String> {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{tag}: missing string {name:?}"))
-        };
-        let u64_field = |name: &str| -> Result<u64, String> {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{tag}: missing integer {name:?}"))
-        };
-        let u32_field = |name: &str| -> Result<u32, String> {
-            u64_field(name)?
-                .try_into()
-                .map_err(|_| format!("{tag}: {name:?} out of range"))
-        };
-        let f64_field = |name: &str| -> Result<f64, String> {
-            v.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("{tag}: missing number {name:?}"))
-        };
-        match tag {
-            "run_start" => Ok(TraceEvent::RunStart {
-                label: str_field("label")?,
-                seed: u64_field("seed")?,
-            }),
-            "phase_spend" => {
-                let mut by_kind = Vec::new();
-                for k in v
-                    .get("by_kind")
-                    .and_then(Json::as_arr)
-                    .ok_or("phase_spend: missing by_kind")?
-                {
-                    by_kind.push(KindSpend {
-                        kind: k
-                            .get("kind")
-                            .and_then(Json::as_str)
-                            .ok_or("by_kind: missing kind")?
-                            .to_string(),
-                        questions: k
-                            .get("questions")
-                            .and_then(Json::as_u64)
-                            .ok_or("by_kind: missing questions")?,
-                        millicents: k
-                            .get("millicents")
-                            .and_then(Json::as_i64)
-                            .ok_or("by_kind: missing millicents")?,
-                    });
-                }
-                Ok(TraceEvent::PhaseSpend {
-                    phase: str_field("phase")?,
-                    spent_millicents: v
-                        .get("spent_millicents")
-                        .and_then(Json::as_i64)
-                        .ok_or("phase_spend: missing spent_millicents")?,
-                    delta_millicents: v
-                        .get("delta_millicents")
-                        .and_then(Json::as_i64)
-                        .ok_or("phase_spend: missing delta_millicents")?,
-                    delta_questions: u64_field("delta_questions")?,
-                    by_kind,
-                })
+impl Field for String {
+    fn write(&self, out: &mut String) {
+        write_str(out, self);
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "expected a string".to_string())
+    }
+}
+
+/// Non-finite values write as `null`, and `null` reads as NaN.
+impl Field for f64 {
+    fn write(&self, out: &mut String) {
+        write_f64(out, *self);
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "expected a number".to_string())
+    }
+}
+
+/// Always written: `None` is `null`. (Only integer payloads are used;
+/// an `f64` payload would be ambiguous with the NaN encoding.)
+impl<T: Field> Field for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::read(v).map(Some),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
             }
-            "dismantle_choice" => {
-                let chosen = match v.get("chosen") {
-                    Some(Json::Null) => None,
-                    Some(j) => Some(
-                        j.as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or("dismantle_choice: bad chosen")?,
-                    ),
-                    None => return Err("dismantle_choice: missing chosen".into()),
-                };
-                let mut scores = Vec::new();
-                for c in v
-                    .get("scores")
-                    .and_then(Json::as_arr)
-                    .ok_or("dismantle_choice: missing scores")?
-                {
-                    let num = |name: &str| -> Result<f64, String> {
-                        c.get(name)
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| format!("scores: missing {name:?}"))
-                    };
-                    scores.push(CandidateScore {
-                        index: c
-                            .get("index")
-                            .and_then(Json::as_u64)
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or("scores: missing index")?,
-                        pr_new: num("pr_new")?,
-                        value: num("value")?,
-                        score: num("score")?,
-                    });
-                }
-                Ok(TraceEvent::DismantleChoice { chosen, scores })
-            }
-            "sprt_verdict" => Ok(TraceEvent::SprtVerdict {
-                candidate: str_field("candidate")?,
-                parent: u32_field("parent")?,
-                accepted: v
-                    .get("accepted")
-                    .and_then(Json::as_bool)
-                    .ok_or("sprt_verdict: missing accepted")?,
-                samples: u32_field("samples")?,
-            }),
-            "trio_size" => Ok(TraceEvent::TrioSize {
-                n_targets: u32_field("n_targets")?,
-                n_attrs: u32_field("n_attrs")?,
-            }),
-            "budget_step" => Ok(TraceEvent::BudgetStep {
-                label: str_field("label")?,
-                attr: u32_field("attr")?,
-                question: u32_field("question")?,
-                objective: f64_field("objective")?,
-            }),
-            "budget_chosen" => {
-                let mut allocation = Vec::new();
-                for b in v
-                    .get("allocation")
-                    .and_then(Json::as_arr)
-                    .ok_or("budget_chosen: missing allocation")?
-                {
-                    allocation.push(
-                        b.as_u64()
-                            .and_then(|n| u32::try_from(n).ok())
-                            .ok_or("budget_chosen: bad allocation entry")?,
-                    );
-                }
-                Ok(TraceEvent::BudgetChosen {
-                    label: str_field("label")?,
-                    allocation,
-                    objective: f64_field("objective")?,
-                })
-            }
-            "regression_fit" => Ok(TraceEvent::RegressionFit {
-                target: u32_field("target")?,
-                label: str_field("label")?,
-                training_mse: f64_field("training_mse")?,
-                rows: u32_field("rows")?,
-            }),
-            "spam_fallback" => Ok(TraceEvent::SpamFallback {
-                object: u64_field("object")?,
-                attr: u32_field("attr")?,
-                answers: u32_field("answers")?,
-            }),
-            "solver_fallback" => Ok(TraceEvent::SolverFallback {
-                label: str_field("label")?,
-                reason: str_field("reason")?,
-            }),
-            "eval_calibration" => Ok(TraceEvent::EvalCalibration {
-                label: str_field("label")?,
-                seed: u64_field("seed")?,
-                target: str_field("target")?,
-                predicted_mse: f64_field("predicted_mse")?,
-                training_mse: f64_field("training_mse")?,
-                realized_mse: f64_field("realized_mse")?,
-                n_objects: u32_field("n_objects")?,
-            }),
-            "spam_decision" => Ok(TraceEvent::SpamDecision {
-                object: u64_field("object")?,
-                attr: u32_field("attr")?,
-                answers: u32_field("answers")?,
-                kept: u32_field("kept")?,
-                median: f64_field("median")?,
-                mad: f64_field("mad")?,
-            }),
-            "query_audit" => {
-                let mut attrs = Vec::new();
-                for a in v
-                    .get("attrs")
-                    .and_then(Json::as_arr)
-                    .ok_or("query_audit: missing attrs")?
-                {
-                    let num = |name: &str| -> Result<f64, String> {
-                        a.get(name)
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| format!("attrs: missing {name:?}"))
-                    };
-                    let int = |name: &str| -> Result<u64, String> {
-                        a.get(name)
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| format!("attrs: missing {name:?}"))
-                    };
-                    attrs.push(AttrAudit {
-                        label: a
-                            .get("label")
-                            .and_then(Json::as_str)
-                            .ok_or("attrs: missing label")?
-                            .to_string(),
-                        questions: int("questions")?
-                            .try_into()
-                            .map_err(|_| "attrs: questions out of range".to_string())?,
-                        batches: int("batches")?,
-                        answers: int("answers")?,
-                        dropped: int("dropped")?,
-                        fallbacks: int("fallbacks")?,
-                        planned_sc: num("planned_sc")?,
-                        realized_sc: num("realized_sc")?,
-                    });
-                }
-                Ok(TraceEvent::QueryAudit {
-                    query: u64_field("query")?,
-                    label: str_field("label")?,
-                    seed: u64_field("seed")?,
-                    target: str_field("target")?,
-                    n_objects: u32_field("n_objects")?,
-                    predicted_mse: f64_field("predicted_mse")?,
-                    training_mse: f64_field("training_mse")?,
-                    realized_mse: f64_field("realized_mse")?,
-                    noise_mse: f64_field("noise_mse")?,
-                    model_mse: f64_field("model_mse")?,
-                    cross_mse: f64_field("cross_mse")?,
-                    error_floor: f64_field("error_floor")?,
-                    budget_truncation: f64_field("budget_truncation")?,
-                    ci_level: f64_field("ci_level")?,
-                    ci_coverage: f64_field("ci_coverage")?,
-                    attrs,
-                })
-            }
-            "object_audit" => Ok(TraceEvent::ObjectAudit {
-                query: u64_field("query")?,
-                label: str_field("label")?,
-                seed: u64_field("seed")?,
-                target: str_field("target")?,
-                object: u64_field("object")?,
-                truth: f64_field("truth")?,
-                estimate: f64_field("estimate")?,
-                residual: f64_field("residual")?,
-                noise_err: f64_field("noise_err")?,
-                model_err: f64_field("model_err")?,
-                ci_lo: f64_field("ci_lo")?,
-                ci_hi: f64_field("ci_hi")?,
-                in_ci: v
-                    .get("in_ci")
-                    .and_then(Json::as_bool)
-                    .ok_or("object_audit: missing in_ci")?,
-            }),
-            "drift_update" => Ok(TraceEvent::DriftUpdate {
-                label: str_field("label")?,
-                attr: str_field("attr")?,
-                metric: str_field("metric")?,
-                reference: f64_field("reference")?,
-                ewma: f64_field("ewma")?,
-                score: f64_field("score")?,
-                threshold: f64_field("threshold")?,
-                samples: u64_field("samples")?,
-                alarms: u64_field("alarms")?,
-            }),
-            "drift_detected" => Ok(TraceEvent::DriftDetected {
-                label: str_field("label")?,
-                attr: str_field("attr")?,
-                metric: str_field("metric")?,
-                observed: f64_field("observed")?,
-                reference: f64_field("reference")?,
-                score: f64_field("score")?,
-                threshold: f64_field("threshold")?,
-                sample: u64_field("sample")?,
-            }),
-            "worker_profile" => Ok(TraceEvent::WorkerProfile {
-                label: str_field("label")?,
-                worker: u32_field("worker")?,
-                sd_multiplier: f64_field("sd_multiplier")?,
-                spam_propensity: f64_field("spam_propensity")?,
-            }),
-            "worker_stats" => Ok(TraceEvent::WorkerStats {
-                label: str_field("label")?,
-                seed: u64_field("seed")?,
-                worker: u32_field("worker")?,
-                binary_answers: u64_field("binary_answers")?,
-                numeric_answers: u64_field("numeric_answers")?,
-                rejected: u64_field("rejected")?,
-                spent_millicents: v
-                    .get("spent_millicents")
-                    .and_then(Json::as_i64)
-                    .ok_or("worker_stats: missing spent_millicents")?,
-                residual_n: u64_field("residual_n")?,
-                residual_sum: f64_field("residual_sum")?,
-                residual_sq: f64_field("residual_sq")?,
-            }),
-            "span_start" => Ok(TraceEvent::SpanStart {
-                id: u64_field("id")?,
-                parent: match v.get("parent") {
-                    Some(Json::Null) => None,
-                    Some(j) => Some(j.as_u64().ok_or("span_start: bad parent")?),
-                    None => return Err("span_start: missing parent".into()),
+            item.write(out);
+        }
+        out.push(']');
+    }
+    fn read(v: &Json) -> Result<Self, String> {
+        let items = v.as_arr().ok_or("expected an array")?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::read(item).map_err(|e| format!("[{i}]: {e}")))
+            .collect()
+    }
+}
+
+/// Appends `<sep>"key":value` and makes `sep` a comma.
+fn put<T: Field>(out: &mut String, sep: &mut char, key: &str, value: &T) {
+    out.push(*sep);
+    *sep = ',';
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":");
+    value.write(out);
+}
+
+/// Reads the required field `key` of an object.
+fn get<T: Field>(obj: &Json, key: &str) -> Result<T, String> {
+    let v = obj.get(key).ok_or_else(|| format!("missing {key:?}"))?;
+    T::read(v).map_err(|e| format!("{key:?}: {e}"))
+}
+
+/// Writes a field, skipping it when it equals the declared default.
+macro_rules! put_field {
+    ($out:ident, $sep:ident, $f:ident) => {
+        put(&mut $out, &mut $sep, stringify!($f), $f)
+    };
+    ($out:ident, $sep:ident, $f:ident, $default:expr) => {
+        if *$f != $default {
+            put(&mut $out, &mut $sep, stringify!($f), $f)
+        }
+    };
+}
+
+/// Reads a field; one with a declared default may be absent.
+macro_rules! get_field {
+    ($obj:expr, $f:ident) => {
+        get($obj, stringify!($f))?
+    };
+    ($obj:expr, $f:ident, $default:expr) => {
+        match $obj.get(stringify!($f)) {
+            None => $default,
+            Some(_) => get($obj, stringify!($f))?,
+        }
+    };
+}
+
+/// Generates the event enum, the records nested in its events and their
+/// JSON codec from one table. Fields are listed in wire order. A field
+/// written `name: Type = default` is omitted from the line when it
+/// equals `default` and reads as `default` when absent.
+macro_rules! wire_format {
+    (
+        $(#[$emeta:meta])*
+        enum $E:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $V:ident = $tag:literal {
+                    $( $(#[$fmeta:meta])* $f:ident: $fty:ty $(= $default:expr)?, )*
                 },
-                tid: u64_field("tid")?,
-                // Additive field: absent in traces written before
-                // request scoping existed, and for spans outside any
-                // request.
-                req: v.get("req").and_then(Json::as_u64).unwrap_or(0),
-                label: str_field("label")?,
-                detail: str_field("detail")?,
-            }),
-            "span_end" => Ok(TraceEvent::SpanEnd {
-                id: u64_field("id")?,
-                tid: u64_field("tid")?,
-                dur_ns: u64_field("dur_ns")?,
-                alloc_bytes: u64_field("alloc_bytes")?,
-                allocs: u64_field("allocs")?,
-                questions: u64_field("questions")?,
-                kernel_ns: u64_field("kernel_ns")?,
-            }),
-            "batch_flush" => {
-                let mut reqs = Vec::new();
-                for r in v
-                    .get("reqs")
-                    .and_then(Json::as_arr)
-                    .ok_or("batch_flush: missing reqs")?
-                {
-                    reqs.push(r.as_u64().ok_or("batch_flush: bad request id")?);
-                }
-                Ok(TraceEvent::BatchFlush {
-                    object: u64_field("object")?,
-                    attr: u32_field("attr")?,
-                    k_max: u32_field("k_max")?,
-                    k_sum: u32_field("k_sum")?,
-                    joiners: u32_field("joiners")?,
-                    reqs,
-                })
-            }
-            other => Err(format!("unknown event tag {other:?}")),
+            )*
         }
+        $(
+            $(#[$smeta:meta])*
+            struct $S:ident {
+                $( $(#[$sfmeta:meta])* $sf:ident: $sty:ty, )*
+            }
+        )*
+    ) => {
+        $(
+            $(#[$smeta])*
+            #[derive(Debug, Clone, PartialEq)]
+            pub struct $S {
+                $( $(#[$sfmeta])* pub $sf: $sty, )*
+            }
+
+            impl Field for $S {
+                fn write(&self, out: &mut String) {
+                    let mut sep = '{';
+                    $( put(out, &mut sep, stringify!($sf), &self.$sf); )*
+                    out.push('}');
+                }
+                fn read(v: &Json) -> Result<Self, String> {
+                    Ok($S { $( $sf: get(v, stringify!($sf))?, )* })
+                }
+            }
+        )*
+
+        $(#[$emeta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $E {
+            $(
+                $(#[$vmeta])*
+                $V { $( $(#[$fmeta])* $f: $fty, )* },
+            )*
+        }
+
+        impl $E {
+            /// The `"event"` tag of the JSON encoding.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( $E::$V { .. } => $tag, )*
+                }
+            }
+
+            /// Serializes to one line of JSON (no trailing newline).
+            pub fn to_json(&self) -> String {
+                let mut s = String::from("{\"event\":");
+                write_str(&mut s, self.name());
+                let mut sep = ',';
+                match self {
+                    $( $E::$V { $($f),* } => {
+                        $( put_field!(s, sep, $f $(, $default)?); )*
+                    } )*
+                }
+                s.push('}');
+                s
+            }
+
+            /// Parses one JSONL line back into an event. Unknown object
+            /// keys (e.g. the `t_us` timestamp the JSONL sink splices in)
+            /// are ignored.
+            pub fn parse(line: &str) -> Result<$E, String> {
+                let v = json::parse(line)?;
+                $E::from_json(&v)
+            }
+
+            /// Decodes an already-parsed JSON object into an event (the
+            /// working half of [`TraceEvent::parse`];
+            /// [`crate::TraceReader`] calls this directly so it can also
+            /// read the line's timestamp).
+            pub fn from_json(v: &Json) -> Result<$E, String> {
+                let tag = v
+                    .get("event")
+                    .and_then(Json::as_str)
+                    .ok_or("missing \"event\" tag")?;
+                let event = match tag {
+                    $( $tag => (|| -> Result<$E, String> {
+                        Ok($E::$V { $( $f: get_field!(v, $f $(, $default)?), )* })
+                    })(), )*
+                    other => return Err(format!("unknown event tag {other:?}")),
+                };
+                event.map_err(|e| format!("{tag}: {e}"))
+            }
+        }
+    };
+}
+
+wire_format! {
+    /// One structured trace record.
+    enum TraceEvent {
+        /// A preprocessing run began.
+        RunStart = "run_start" {
+            /// Free-form run label (domain / query description).
+            label: String,
+            /// The algorithm seed.
+            seed: u64,
+        },
+        /// A `B_prc` phase boundary: ledger delta since the previous boundary.
+        PhaseSpend = "phase_spend" {
+            /// Phase that just ended (`examples`, `dismantle`, `refine`,
+            /// `regression`).
+            phase: String,
+            /// Cumulative ledger spend at the boundary, in milli-cents.
+            spent_millicents: i64,
+            /// Spend attributable to this phase, in milli-cents.
+            delta_millicents: i64,
+            /// Questions asked during this phase.
+            delta_questions: u64,
+            /// Non-zero per-kind breakdown of the delta.
+            by_kind: Vec<KindSpend>,
+        },
+        /// One `GetNextAttribute` decision with every candidate's score.
+        DismantleChoice = "dismantle_choice" {
+            /// Chosen pool index, or `None` when no candidate had positive
+            /// expected value (a stopping signal).
+            chosen: Option<u32>,
+            /// Scores of all scored candidates (empty under the `Random`
+            /// strategy, which skips scoring).
+            scores: Vec<CandidateScore>,
+        },
+        /// An SPRT verification dialogue concluded.
+        SprtVerdict = "sprt_verdict" {
+            /// The crowd-suggested attribute text under verification.
+            candidate: String,
+            /// Pool attribute it was suggested for (raw attribute id).
+            parent: u32,
+            /// `true` = accepted as relevant.
+            accepted: bool,
+            /// Worker answers the test consumed before deciding.
+            samples: u32,
+        },
+        /// Statistics-trio growth after an attribute was measured.
+        TrioSize = "trio_size" {
+            /// Query targets tracked.
+            n_targets: u32,
+            /// Attributes currently in the trio.
+            n_attrs: u32,
+        },
+        /// One grant of the greedy budget-distribution loop.
+        BudgetStep = "budget_step" {
+            /// Which top-level distribution call this belongs to (`main`,
+            /// `refine`, `fallback`).
+            label: String,
+            /// Pool index granted one more question.
+            attr: u32,
+            /// That attribute's question count after the grant.
+            question: u32,
+            /// Objective value after the grant.
+            objective: f64,
+        },
+        /// A finished greedy budget distribution.
+        BudgetChosen = "budget_chosen" {
+            /// Same labels as [`TraceEvent::BudgetStep`].
+            label: String,
+            /// Final questions per pool attribute.
+            allocation: Vec<u32>,
+            /// Final objective value.
+            objective: f64,
+        },
+        /// A per-target regression was fitted.
+        RegressionFit = "regression_fit" {
+            /// Target index within the plan.
+            target: u32,
+            /// Target label.
+            label: String,
+            /// Realized training MSE (the plan-validation residual).
+            training_mse: f64,
+            /// Training rows the fit used.
+            rows: u32,
+        },
+        /// The online spam filter rejected an entire answer batch and the
+        /// estimator fell back to the unfiltered answers.
+        SpamFallback = "spam_fallback" {
+            /// Object being estimated.
+            object: u64,
+            /// Attribute whose batch was wiped (raw attribute id).
+            attr: u32,
+            /// Batch size that was entirely rejected.
+            answers: u32,
+        },
+        /// The incremental (Sherman–Morrison) budget-distribution engine
+        /// hit a numerical breakdown and the call restarted on the dense
+        /// refactorize-per-candidate engine. Rare by construction — it fires
+        /// exactly where the dense engine's jitter rescue ladder would.
+        SolverFallback = "solver_fallback" {
+            /// Which solve fell back: a top-level distribution label
+            /// (`main`, `refine`, `fallback`) or `probe` for a
+            /// next-attribute loss probe.
+            label: String,
+            /// Which incremental step broke down (e.g. `schur`,
+            /// `sherman_morrison`, `downdate`, `non_finite`).
+            reason: String,
+        },
+        /// One target's Err(b) calibration sample, emitted by the bench
+        /// runner after scoring a plan against ground truth: the paper's
+        /// predicted plan error joined with the realized per-object MSE.
+        /// Self-contained (no cross-event join key needed) because parallel
+        /// sweeps interleave events from many runs in one JSONL stream.
+        EvalCalibration = "eval_calibration" {
+            /// Cell identity: domain, query, strategy and budgets.
+            label: String,
+            /// Repetition seed of the run.
+            seed: u64,
+            /// Target attribute label.
+            target: String,
+            /// `Err(b) = Var(a_t) − S_oᵀ(S_a + Diag(S_c/b))⁻¹S_o` at the
+            /// chosen budget (NaN when the strategy has no trio, e.g.
+            /// NaiveAverage).
+            predicted_mse: f64,
+            /// The plan regression's realized training MSE.
+            training_mse: f64,
+            /// Realized per-object MSE against bench ground truth.
+            realized_mse: f64,
+            /// Held-out objects the realized MSE averaged over.
+            n_objects: u32,
+        },
+        /// The online spam filter discarded at least one answer from a
+        /// batch: the filter's decision statistics, surfaced so error
+        /// attribution can see *why* answers were dropped.
+        SpamDecision = "spam_decision" {
+            /// Object being estimated.
+            object: u64,
+            /// Attribute whose batch was filtered (raw attribute id).
+            attr: u32,
+            /// Raw batch size.
+            answers: u32,
+            /// Answers that survived the filter.
+            kept: u32,
+            /// Batch median the filter centred on.
+            median: f64,
+            /// Scaled median absolute deviation (the filter's spread
+            /// estimate; 0 when a majority answered identically).
+            mad: f64,
+        },
+        /// One query target's full error-attribution ledger, assembled by
+        /// the bench runner after scoring a plan against ground truth. The
+        /// realized per-object MSE decomposes as
+        /// `noise_mse + model_mse + cross_mse` (exact per-object algebra:
+        /// residual = crowd-noise error through the regression + the
+        /// regression's own model error on true attribute values).
+        /// Self-contained like [`TraceEvent::EvalCalibration`].
+        QueryAudit = "query_audit" {
+            /// Process-unique audit id correlating this ledger with its
+            /// [`TraceEvent::ObjectAudit`] rows. `(label, seed, target)` is
+            /// *not* unique — sweeps rerun the same cell identity per budget
+            /// point, possibly concurrently, interleaving their rows.
+            query: u64,
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Repetition seed of the run.
+            seed: u64,
+            /// Target attribute label.
+            target: String,
+            /// Held-out objects audited.
+            n_objects: u32,
+            /// Predicted `Err(b)` at the chosen budget (Eq. 2).
+            predicted_mse: f64,
+            /// The plan regression's training MSE.
+            training_mse: f64,
+            /// Realized per-object MSE against ground truth.
+            realized_mse: f64,
+            /// Mean squared crowd-noise error: `(ŷ − ỹ)²` where `ỹ` is the
+            /// regression applied to *true* attribute values.
+            noise_mse: f64,
+            /// Mean squared model error: `(ỹ − y)²`.
+            model_mse: f64,
+            /// Twice the mean noise×model cross term (completes the exact
+            /// decomposition; near zero when the two are independent).
+            cross_mse: f64,
+            /// Predicted `Err(b)` at an effectively unbounded budget — the
+            /// error floor the regression could reach with infinite answers.
+            error_floor: f64,
+            /// `predicted_mse − error_floor`: the loss attributable to
+            /// truncating the per-object budget at `B_obj`.
+            budget_truncation: f64,
+            /// Nominal two-sided confidence level of the per-object
+            /// intervals (e.g. 0.95).
+            ci_level: f64,
+            /// Fraction of audited objects whose true value fell inside
+            /// `estimate ± z·√predicted_mse`.
+            ci_coverage: f64,
+            /// Per-planned-attribute answer-stream audit.
+            attrs: Vec<AttrAudit>,
+        },
+        /// One audited object's residual and confidence interval (the
+        /// per-object grain under a [`TraceEvent::QueryAudit`]).
+        ObjectAudit = "object_audit" {
+            /// The owning [`TraceEvent::QueryAudit`]'s audit id.
+            query: u64,
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Repetition seed of the run.
+            seed: u64,
+            /// Target attribute label.
+            target: String,
+            /// Audited object.
+            object: u64,
+            /// Ground-truth target value.
+            truth: f64,
+            /// The plan's estimate.
+            estimate: f64,
+            /// `estimate − truth`.
+            residual: f64,
+            /// Crowd-noise component of the residual (`ŷ − ỹ`).
+            noise_err: f64,
+            /// Model component of the residual (`ỹ − y`).
+            model_err: f64,
+            /// Lower edge of the predicted confidence interval.
+            ci_lo: f64,
+            /// Upper edge of the predicted confidence interval.
+            ci_hi: f64,
+            /// Whether the truth fell inside `[ci_lo, ci_hi]`.
+            in_ci: bool,
+        },
+        /// Final state of one drift detector after an audited run: the
+        /// always-emitted companion of [`TraceEvent::DriftDetected`] (which
+        /// only fires on alarms), so coverage gates can require it.
+        DriftUpdate = "drift_update" {
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Monitored attribute label.
+            attr: String,
+            /// Monitored metric: `answer_var` or `spam_rate`.
+            metric: String,
+            /// Planned reference value the stream is compared against.
+            reference: f64,
+            /// EWMA of the standardized deviations from the reference.
+            ewma: f64,
+            /// Current two-sided CUSUM score (max of both sides, in sigmas).
+            score: f64,
+            /// CUSUM decision threshold `h`.
+            threshold: f64,
+            /// Batches the detector absorbed.
+            samples: u64,
+            /// Alarms raised over the run.
+            alarms: u64,
+        },
+        /// A drift detector crossed its decision threshold: the realized
+        /// answer stream departed from the plan's assumptions. This is the
+        /// trigger signal a streaming replanning engine consumes.
+        DriftDetected = "drift_detected" {
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Monitored attribute label.
+            attr: String,
+            /// Monitored metric: `answer_var` or `spam_rate`.
+            metric: String,
+            /// The observation that tripped the alarm.
+            observed: f64,
+            /// Planned reference value.
+            reference: f64,
+            /// CUSUM score just before the alarm reset (exceeds
+            /// `threshold`).
+            score: f64,
+            /// CUSUM decision threshold `h`.
+            threshold: f64,
+            /// 1-based index of the tripping batch in the stream.
+            sample: u64,
+        },
+        /// Planted quality profile of one worker in the simulated pool,
+        /// emitted per audited repetition (deterministic, so re-emission is
+        /// idempotent) so scorecards can compare observed behaviour against
+        /// the planted truth.
+        WorkerProfile = "worker_profile" {
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Worker index within the pool.
+            worker: u32,
+            /// Planted noise-sd multiplier (1.0 in the homogeneous model).
+            sd_multiplier: f64,
+            /// Planted spam propensity (0.0 for honest workers).
+            spam_propensity: f64,
+        },
+        /// Observed per-worker tallies of one audited repetition: the
+        /// provenance side of the audit ledger.
+        WorkerStats = "worker_stats" {
+            /// Cell identity: domain / query / strategy.
+            label: String,
+            /// Repetition seed of the run.
+            seed: u64,
+            /// Worker index within the pool.
+            worker: u32,
+            /// Binary value answers attributed to the worker.
+            binary_answers: u64,
+            /// Numeric value answers attributed to the worker.
+            numeric_answers: u64,
+            /// Answers the spam filter rejected.
+            rejected: u64,
+            /// Millicents charged for the worker's answers.
+            spent_millicents: i64,
+            /// Standardized residuals recorded (kept answers of well-formed
+            /// batches).
+            residual_n: u64,
+            /// Sum of those standardized residuals.
+            residual_sum: f64,
+            /// Sum of their squares (raw moments add exactly across reps).
+            residual_sq: f64,
+        },
+        /// A hierarchical span opened (see [`crate::span`]). Matched by
+        /// exactly one [`TraceEvent::SpanEnd`] with the same `id`.
+        SpanStart = "span_start" {
+            /// Process-unique span id.
+            id: u64,
+            /// Innermost open span on the same thread at open time, if any.
+            parent: Option<u64>,
+            /// Trace-thread id of the opening thread (1-based).
+            tid: u64,
+            /// Request id scoped onto the opening thread (see
+            /// [`crate::span::enter_request`]); 0 = no request context.
+            /// Omitted when 0, so traces from non-serving runs keep the
+            /// bytes they had before request scoping existed.
+            req: u64 = 0,
+            /// Static span label (`preprocess`, `dismantle_round`, …).
+            label: String,
+            /// Free-form detail (`k=3`, a target name, …); may be empty.
+            detail: String,
+        },
+        /// A span closed; carries the resources attributed to it (cumulative
+        /// over the span's lifetime on its own thread — children included).
+        SpanEnd = "span_end" {
+            /// Matches the [`TraceEvent::SpanStart`] id.
+            id: u64,
+            /// Trace-thread id of the closing thread.
+            tid: u64,
+            /// Wall-clock nanoseconds the span was open.
+            dur_ns: u64,
+            /// Bytes requested from the allocator while open (0 unless
+            /// [`crate::CountingAlloc`] is the global allocator).
+            alloc_bytes: u64,
+            /// Allocator calls while open.
+            allocs: u64,
+            /// Crowd questions charged while open (any kind).
+            questions: u64,
+            /// Kernel-timer nanoseconds recorded while open.
+            kernel_ns: u64,
+        },
+        /// The micro-batcher flushed one coalesced `(object, attribute)`
+        /// cell to the crowd platform, answering every sharer at once. The
+        /// flush runs on the leading request's thread; `reqs` preserves the
+        /// causal link to every other request whose questions rode along.
+        BatchFlush = "batch_flush" {
+            /// Object id of the coalesced cell.
+            object: u64,
+            /// Attribute id of the coalesced cell.
+            attr: u32,
+            /// Questions actually asked (the max over sharers).
+            k_max: u32,
+            /// Questions requested across all sharers.
+            k_sum: u32,
+            /// Number of requests sharing the flush.
+            joiners: u32,
+            /// Request ids of every participant (sorted, deduplicated;
+            /// 0 = a participant outside any request scope).
+            reqs: Vec<u64>,
+        },
+    }
+
+    /// Per-candidate term of one dismantle-target choice: the Eq. 8/9
+    /// score `Pr(new | a_j) · Σ_t ω_t [G − L]` and its factors.
+    struct CandidateScore {
+        /// Pool index of the candidate attribute.
+        index: u32,
+        /// `Pr(new | a_j) = 1/(n_j + 2)` (Eq. 4).
+        pr_new: f64,
+        /// The weighted gain-minus-loss sum `Σ_t ω_t [G − L]`.
+        value: f64,
+        /// The product actually ranked.
+        score: f64,
+    }
+
+    /// Per-question-kind component of a phase's spend delta.
+    struct KindSpend {
+        /// Question kind label (the ledger's display name).
+        kind: String,
+        /// Questions of that kind asked during the phase.
+        questions: u64,
+        /// Milli-cents spent on that kind during the phase.
+        millicents: i64,
+    }
+
+    /// Per-attribute slice of a [`TraceEvent::QueryAudit`]: how one
+    /// planned attribute's answer stream behaved against the plan's
+    /// assumptions.
+    struct AttrAudit {
+        /// Planned attribute label.
+        label: String,
+        /// Questions per object the plan allocated (`b(a)`).
+        questions: u32,
+        /// Answer batches observed (= objects estimated).
+        batches: u64,
+        /// Raw answers asked across all batches.
+        answers: u64,
+        /// Answers the spam filter discarded.
+        dropped: u64,
+        /// Whole-batch rejections (estimator fell back to raw answers).
+        fallbacks: u64,
+        /// The trio's planned per-answer variance `S_c[a]`.
+        planned_sc: f64,
+        /// Mean within-batch sample variance of the answers actually
+        /// averaged (NaN when no batch kept ≥ 2 answers).
+        realized_sc: f64,
     }
 }
 
@@ -1511,6 +943,20 @@ mod tests {
             event.to_json(),
             r#"{"event":"eval_calibration","label":"x","seed":3,"target":"Bmi","predicted_mse":null,"training_mse":-0,"realized_mse":null,"n_objects":0}"#
         );
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_round_trip() {
+        let event = TraceEvent::RunStart {
+            label: "big".into(),
+            seed: (1 << 53) + 1,
+        };
+        let line = event.to_json();
+        assert_eq!(
+            line,
+            r#"{"event":"run_start","label":"big","seed":9007199254740993}"#
+        );
+        assert_eq!(TraceEvent::parse(&line).unwrap(), event);
     }
 
     #[test]

@@ -18,8 +18,11 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (always held as `f64`; the trace format keeps
-    /// integers small enough for exact representation).
+    /// An integer literal (no fraction or exponent), held exactly so
+    /// `u64` seeds and ids above 2^53 survive a round trip.
+    Int(i128),
+    /// Any other number: a literal with a fraction or exponent, `-0`,
+    /// or an integer too long for [`Json::Int`].
     Num(f64),
     /// A string.
     Str(String),
@@ -50,23 +53,30 @@ impl Json {
     /// non-finite floats).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            // Integer-to-float `as` rounds to nearest, ties to even, as
+            // the decimal parser does, so this matches parsing the text.
+            Json::Int(i) => Some(*i as f64),
             Json::Num(n) => Some(*n),
             Json::Null => Some(f64::NAN),
             _ => None,
         }
     }
 
-    /// Numeric content as `u64` (rejects negatives and fractions).
+    /// Numeric content as `u64` (rejects negatives, fractions and
+    /// integer literals out of range).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Int(i) => u64::try_from(*i).ok(),
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
 
-    /// Numeric content as `i64` (rejects fractions).
+    /// Numeric content as `i64` (rejects fractions and integer literals
+    /// out of range).
     pub fn as_i64(&self) -> Option<i64> {
         match self {
+            Json::Int(i) => i64::try_from(*i).ok(),
             Json::Num(n) if n.fract() == 0.0 => Some(*n as i64),
             _ => None,
         }
@@ -172,10 +182,23 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, 
 
 fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
+    let mut integral = true;
+    while *pos < b.len() {
+        match b[*pos] {
+            b'0'..=b'9' | b'-' | b'+' => {}
+            b'.' | b'e' | b'E' => integral = false,
+            _ => break,
+        }
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+    if integral {
+        // `-0` stays a float so its sign survives (`write_f64` emits it).
+        match text.parse::<i128>() {
+            Ok(i) if i != 0 || !text.starts_with('-') => return Ok(Json::Int(i)),
+            _ => {}
+        }
+    }
     let v: f64 = text
         .parse()
         .map_err(|e| format!("bad number {text:?}: {e}"))?;
@@ -340,6 +363,58 @@ mod tests {
             let back = parse(&s).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} -> {s} -> {back}");
         }
+    }
+
+    #[test]
+    fn integer_literals_are_exact() {
+        let big = (1u64 << 53) + 1;
+        assert_eq!(parse(&big.to_string()).unwrap().as_u64(), Some(big));
+        assert_eq!(
+            parse(&u64::MAX.to_string()).unwrap().as_u64(),
+            Some(u64::MAX)
+        );
+        assert_eq!(
+            parse(&i64::MIN.to_string()).unwrap().as_i64(),
+            Some(i64::MIN)
+        );
+        assert_eq!(parse("-5").unwrap().as_i64(), Some(-5));
+        assert_eq!(parse("-5").unwrap().as_u64(), None);
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(parse("9223372036854775808").unwrap().as_i64(), None);
+        assert_eq!(parse("2.5").unwrap().as_u64(), None);
+        assert_eq!(parse("1e3").unwrap().as_u64(), Some(1000));
+    }
+
+    /// `as_f64` reads every literal exactly as parsing its text as an
+    /// `f64` would, bit for bit.
+    #[test]
+    fn as_f64_matches_the_decimal_parser() {
+        for text in [
+            "0",
+            "-0",
+            "-00",
+            "+7",
+            "9007199254740993",
+            "18446744073709551615",
+            "-9223372036854775809",
+            "100000000000000000000",
+            "123456789012345678901234567890123456789",
+            "1234567890123456789012345678901234567890123",
+            "-3.25e2",
+            "1e22",
+            "0.1",
+        ] {
+            let want: f64 = text.parse().unwrap();
+            let got = parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "{text}");
+        }
+        let mut s = String::new();
+        write_f64(&mut s, -0.0);
+        assert_eq!(s, "-0");
+        assert_eq!(
+            parse(&s).unwrap().as_f64().unwrap().to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 
     #[test]
