@@ -37,21 +37,16 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// The `"serve":{...}` JSON fragment embedded in a harness row.
-    pub fn to_json(&self) -> String {
-        // p90_us rides at the tail so rows written before it existed
-        // share an exact prefix with current ones (and old readers that
-        // stop at known keys keep working).
-        format!(
-            "{{\"p50_us\":{},\"p99_us\":{},\"qps\":{:.2},\
-             \"questions_per_query\":{:.4},\"plan_cache_hit_rate\":{:.4},\"p90_us\":{}}}",
-            self.p50_us,
-            self.p99_us,
-            self.qps,
-            self.questions_per_query,
-            self.plan_cache_hit_rate,
-            self.p90_us,
-        )
+    /// The harness row's `serve` block.
+    pub fn row(&self) -> disq_trace::ServeRow {
+        disq_trace::ServeRow {
+            p50_us: self.p50_us as f64,
+            p90_us: Some(self.p90_us as f64),
+            p99_us: self.p99_us as f64,
+            qps: self.qps,
+            questions_per_query: self.questions_per_query,
+            plan_cache_hit_rate: self.plan_cache_hit_rate,
+        }
     }
 }
 
@@ -165,40 +160,29 @@ impl HarnessTimings {
         line
     }
 
+    /// The record for `BENCH_harness.json`.
+    pub fn row(&self) -> disq_trace::BenchRow {
+        disq_trace::BenchRow {
+            experiment: self.key(),
+            threads: self.threads as u64,
+            cells: self.cells as u64,
+            reps: self.reps as u64,
+            units: self.units as u64,
+            wall_secs: self.wall_secs,
+            cells_per_sec: self.cells_per_sec(),
+            units_per_sec: self.units_per_sec(),
+            cache_hits: self.cache_hits as u64,
+            cache_misses: self.cache_misses as u64,
+            cache_hit_rate: self.cache_hit_rate(),
+            peak_alloc_bytes: self.peak_alloc_bytes,
+            serve: self.serve.map(|s| s.row()),
+            summary: (!self.summary.is_empty()).then(|| self.summary.clone()),
+        }
+    }
+
     /// One-line JSON object for `BENCH_harness.json`.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"experiment\":\"{}\",\"threads\":{},\"cells\":{},\"reps\":{},\
-             \"units\":{},\"wall_secs\":{:.4},\"cells_per_sec\":{:.4},\
-             \"units_per_sec\":{:.4},\"cache_hits\":{},\"cache_misses\":{},\
-             \"cache_hit_rate\":{:.4}}}",
-            self.key(),
-            self.threads,
-            self.cells,
-            self.reps,
-            self.units,
-            self.wall_secs,
-            self.cells_per_sec(),
-            self.units_per_sec(),
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate(),
-        );
-        if self.peak_alloc_bytes > 0 {
-            s.pop(); // strip the closing brace
-            let _ = write!(s, ",\"peak_alloc_bytes\":{}}}", self.peak_alloc_bytes);
-        }
-        if let Some(serve) = &self.serve {
-            s.pop(); // strip the closing brace
-            let _ = write!(s, ",\"serve\":{}}}", serve.to_json());
-        }
-        if !self.summary.is_empty() {
-            s.pop(); // strip the closing brace
-            let _ = write!(s, ",\"run_summary\":{}}}", self.summary.to_json());
-        }
-        s
+        self.row().to_json()
     }
 }
 
@@ -235,16 +219,11 @@ pub fn history_path(path: &std::path::Path) -> PathBuf {
 }
 
 /// Extracts the exact record key (`"fig1@t4"`) of one harness row by
-/// parsing it as JSON — substring matching would make `fig1@t1` claim
+/// parsing it — substring matching would make `fig1@t1` claim
 /// `fig1@t16` rows too.
 fn row_key(line: &str) -> Option<String> {
-    match disq_trace::json::parse(line).ok()? {
-        disq_trace::json::Json::Obj(map) => match map.get("experiment") {
-            Some(disq_trace::json::Json::Str(s)) => Some(s.clone()),
-            _ => None,
-        },
-        _ => None,
-    }
+    let row = disq_trace::BenchRow::from_json(&disq_trace::json::parse(line).ok()?).ok()?;
+    Some(row.experiment)
 }
 
 fn record_at(path: &std::path::Path, timings: &HarnessTimings) -> std::io::Result<()> {

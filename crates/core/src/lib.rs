@@ -36,7 +36,6 @@ mod error;
 pub mod metrics;
 pub mod online;
 mod plan;
-pub mod plan_io;
 pub mod plan_store;
 mod preprocess;
 

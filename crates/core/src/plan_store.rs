@@ -1,11 +1,11 @@
-//! Versioned on-disk store for complete [`PreprocessOutput`]s.
+//! Versioned on-disk store for complete [`PreprocessOutput`]s: the one
+//! plan serialization format.
 //!
-//! [`crate::plan_io`] persists the bare `(b, l)` plan in a text format
-//! for humans and version control; the serving layer needs more — the
-//! statistics trio, the budget distribution and the diagnostics all ride
-//! along so a restarted daemon warm-starts with *exactly* the state the
-//! original `preprocess` run produced. This module serializes the full
-//! output through the hand-rolled bit-exact JSON layer
+//! Beyond the `(b, l)` plan, the statistics trio, the budget
+//! distribution and the diagnostics all ride along so a restarted
+//! daemon warm-starts with *exactly* the state the original
+//! `preprocess` run produced. This module serializes the full output
+//! through the hand-rolled bit-exact JSON layer
 //! ([`disq_trace::json`]) under a version-stamped envelope keyed by
 //! `(domain, attribute, seed)`.
 //!

@@ -1,6 +1,9 @@
 //! Property-based tests for the core layer's pure machinery.
 
-use crate::{plan_io, EvaluationPlan, PlannedAttribute, TargetRegression};
+use crate::{
+    output_from_json, output_to_json, EvaluationPlan, PlanMeta, PlannedAttribute, PreprocessOutput,
+    PreprocessStats, TargetRegression,
+};
 use disq_crowd::{Money, PricingModel};
 use disq_domain::{AttributeId, AttributeKind};
 use proptest::prelude::*;
@@ -15,9 +18,7 @@ fn arb_plan() -> impl Strategy<Value = EvaluationPlan> {
     )
         .prop_map(|(idx, boolean, questions, label)| PlannedAttribute {
             attr: AttributeId(idx),
-            // The text format trims line ends, so labels cannot carry
-            // trailing whitespace.
-            label: label.trim_end().to_string(),
+            label,
             kind: if boolean {
                 AttributeKind::Boolean
             } else {
@@ -55,10 +56,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn plan_io_roundtrips_arbitrary_plans(plan in arb_plan()) {
-        let text = plan_io::plan_to_string(&plan);
-        let back = plan_io::plan_from_str(&text).unwrap();
-        prop_assert_eq!(back, plan);
+    fn plan_store_roundtrips_arbitrary_plans(plan in arb_plan(), seed in any::<u64>()) {
+        let n_targets = plan.regressions.len();
+        let output = PreprocessOutput {
+            plan,
+            trio: disq_stats::StatsTrio::new(n_targets),
+            pool_labels: Vec::new(),
+            budget: Vec::new(),
+            weights: vec![1.0; n_targets],
+            stats: PreprocessStats::default(),
+        };
+        let meta = PlanMeta {
+            domain: "pictures".into(),
+            attribute: "Bmi".into(),
+            seed,
+        };
+        let text = output_to_json(&output, &meta);
+        let (back, back_meta) = output_from_json(&text).unwrap();
+        prop_assert_eq!(&back.plan, &output.plan);
+        prop_assert_eq!(back_meta, meta);
+        prop_assert_eq!(output_to_json(&back, &back_meta), text);
     }
 
     #[test]

@@ -9,117 +9,26 @@
 //! The CLI exits non-zero when any regression is found, which is what
 //! lets CI gate merges on it.
 
-use disq_trace::json::Json;
-use disq_trace::{Counter, RunSummary};
+use disq_trace::{BenchRow, Counter};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// The `"serve":{...}` latency block a `serve@c<conns>` load-generator
-/// row carries.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeRow {
-    /// Median request latency, microseconds.
-    pub p50_us: f64,
-    /// 90th-percentile request latency, microseconds. `None` for rows
-    /// written before the harness recorded it — legacy snapshots must
-    /// keep parsing, so it is additive rather than required.
-    pub p90_us: Option<f64>,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: f64,
-    /// Queries per second across all connections.
-    pub qps: f64,
-    /// Crowd questions asked per query (after coalescing).
-    pub questions_per_query: f64,
-    /// Plan-cache hit rate over the measured window.
-    pub plan_cache_hit_rate: f64,
-}
-
-/// One parsed harness row.
-#[derive(Debug, Clone)]
-pub struct HarnessRow {
-    /// Record key, e.g. `fig1@t4`.
-    pub key: String,
-    /// Experimental cells in the sweep.
-    pub cells: u64,
-    /// Repetitions per cell.
-    pub reps: u64,
-    /// `(cell, rep)` units executed.
-    pub units: u64,
-    /// Wall-clock seconds.
-    pub wall_secs: f64,
-    /// Units per wall-clock second.
-    pub units_per_sec: f64,
-    /// Embedded trace summary, when the row carries one.
-    pub summary: Option<RunSummary>,
-    /// Peak live-heap bytes from the allocation watermark, when the row
-    /// was measured with it (the `fig1@n…` scale rows); 0 otherwise.
-    pub peak_alloc_bytes: u64,
-    /// Daemon latency stats, when the row came from the serve load
-    /// generator (`serve@c…`).
-    pub serve: Option<ServeRow>,
-}
-
 /// Parses a `BENCH_harness.json` file into rows keyed by
 /// `experiment@t<threads>`.
-pub fn load_rows(path: &Path) -> Result<BTreeMap<String, HarnessRow>, String> {
+pub fn load_rows(path: &Path) -> Result<BTreeMap<String, BenchRow>, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     parse_rows(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Parses the harness file body (a JSON array of row objects).
-pub fn parse_rows(text: &str) -> Result<BTreeMap<String, HarnessRow>, String> {
+pub fn parse_rows(text: &str) -> Result<BTreeMap<String, BenchRow>, String> {
     let doc = disq_trace::json::parse(text)?;
     let arr = doc.as_arr().ok_or("harness file is not a JSON array")?;
     let mut rows = BTreeMap::new();
     for (i, row) in arr.iter().enumerate() {
-        let field = |name: &str| -> Result<f64, String> {
-            row.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("row {i}: missing number {name:?}"))
-        };
-        let key = row
-            .get("experiment")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("row {i}: missing \"experiment\""))?
-            .to_string();
-        let summary = match row.get("run_summary") {
-            Some(v) => Some(RunSummary::from_json(v).map_err(|e| format!("row {i}: {e}"))?),
-            None => None,
-        };
-        let serve = match row.get("serve") {
-            Some(v) => {
-                let sub = |name: &str| -> Result<f64, String> {
-                    v.get(name)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("row {i}: serve block missing {name:?}"))
-                };
-                Some(ServeRow {
-                    p50_us: sub("p50_us")?,
-                    p90_us: v.get("p90_us").and_then(Json::as_f64),
-                    p99_us: sub("p99_us")?,
-                    qps: sub("qps")?,
-                    questions_per_query: sub("questions_per_query")?,
-                    plan_cache_hit_rate: sub("plan_cache_hit_rate")?,
-                })
-            }
-            None => None,
-        };
-        let parsed = HarnessRow {
-            key: key.clone(),
-            cells: field("cells")? as u64,
-            reps: field("reps")? as u64,
-            units: field("units")? as u64,
-            wall_secs: field("wall_secs")?,
-            units_per_sec: field("units_per_sec")?,
-            summary,
-            peak_alloc_bytes: row
-                .get("peak_alloc_bytes")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as u64,
-            serve,
-        };
-        rows.insert(key, parsed);
+        let row = BenchRow::from_json(row).map_err(|e| format!("row {i}: {e}"))?;
+        rows.insert(row.experiment.clone(), row);
     }
     Ok(rows)
 }
@@ -244,8 +153,8 @@ const DETERMINISTIC_COUNTERS: [Counter; 13] = [
 
 /// Compares two harness snapshots row by row.
 pub fn compare(
-    baseline: &BTreeMap<String, HarnessRow>,
-    current: &BTreeMap<String, HarnessRow>,
+    baseline: &BTreeMap<String, BenchRow>,
+    current: &BTreeMap<String, BenchRow>,
     cfg: &CompareConfig,
 ) -> CompareOutcome {
     let mut outcome = CompareOutcome::default();
@@ -385,6 +294,7 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disq_trace::ServeRow;
 
     fn row(key: &str, wall: f64, units: u64) -> String {
         format!(
@@ -396,7 +306,7 @@ mod tests {
         )
     }
 
-    fn snapshot(rows: &[String]) -> BTreeMap<String, HarnessRow> {
+    fn snapshot(rows: &[String]) -> BTreeMap<String, BenchRow> {
         parse_rows(&format!("[\n{}\n]", rows.join(",\n"))).unwrap()
     }
 

@@ -51,7 +51,7 @@ pub mod trend;
 pub mod workers;
 
 pub use calib::{CalibReport, CalibSample};
-pub use compare::{compare, load_rows, CompareConfig, CompareOutcome, HarnessRow, Regression};
+pub use compare::{compare, load_rows, CompareConfig, CompareOutcome, Regression};
 pub use explain::{ExplainReport, QueryExplain};
 pub use flame::{FlameGraph, FlameNode};
 pub use report::{render_timers, RunReport};

@@ -14,6 +14,7 @@
 use crate::report::fmt_f64;
 use crate::table::{Align, Table};
 use disq_trace::json::{self, Json};
+use disq_trace::BenchRow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -58,25 +59,16 @@ pub struct TrendReport {
 }
 
 fn absorb_row(rows: &mut BTreeMap<String, Vec<TrendPoint>>, row: &Json) -> bool {
-    let Some(key) = row.get("experiment").and_then(Json::as_str) else {
+    let Ok(row) = BenchRow::from_json(row) else {
         return false;
     };
-    let num = |name: &str| row.get(name).and_then(Json::as_f64);
-    let (Some(wall), Some(ups)) = (num("wall_secs"), num("units_per_sec")) else {
-        return false;
-    };
-    let serve_num = |name: &str| {
-        row.get("serve")
-            .and_then(|s| s.get(name))
-            .and_then(Json::as_f64)
-    };
-    rows.entry(key.to_string()).or_default().push(TrendPoint {
-        units: num("units").unwrap_or(0.0) as u64,
-        wall_secs: wall,
-        units_per_sec: ups,
-        peak_alloc_bytes: num("peak_alloc_bytes").unwrap_or(0.0) as u64,
-        serve_p90_us: serve_num("p90_us"),
-        serve_p99_us: serve_num("p99_us"),
+    rows.entry(row.experiment).or_default().push(TrendPoint {
+        units: row.units,
+        wall_secs: row.wall_secs,
+        units_per_sec: row.units_per_sec,
+        peak_alloc_bytes: row.peak_alloc_bytes,
+        serve_p90_us: row.serve.and_then(|s| s.p90_us),
+        serve_p99_us: row.serve.map(|s| s.p99_us),
     });
     true
 }

@@ -25,7 +25,7 @@
 //!   an inert guard when no sink is installed.
 //! * **[`RunSummary`]** — a snapshot/delta aggregate of counters and
 //!   timers, rendered into bench report footers and merged into
-//!   `BENCH_harness.json`.
+//!   `BENCH_harness.json`, whose row schema is [`BenchRow`].
 //! * **Post-hoc analysis** — [`TraceReader`] streams events back out of
 //!   a JSONL file (crash-tolerant: corrupt lines are counted and
 //!   skipped), [`prometheus_text`] renders a [`RunSummary`] in
@@ -56,6 +56,7 @@ pub mod json;
 mod metrics;
 pub mod reader;
 mod recorder;
+pub mod row;
 pub mod serve;
 mod sink;
 pub mod span;
@@ -69,6 +70,7 @@ pub use metrics::{
 };
 pub use reader::{SkippedLine, TraceReader, MAX_SKIP_DETAILS};
 pub use recorder::{FlightRecorder, RECORDER_DEFAULT_CAP, RECORDER_DEFAULT_RETAIN};
+pub use row::{BenchRow, ServeRow};
 pub use serve::{MetricsServer, METRICS_ENV_VAR};
 pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink, MEMORY_SINK_DEFAULT_CAP};
 pub use span::{thread_alloc_bytes, thread_allocs, RequestGuard, SpanGuard};

@@ -1,7 +1,10 @@
 //! Integration tests of the §4 multi-target machinery: pairing policies,
 //! missing-`S_o` estimation, plan persistence across phases.
 
-use disq::core::{online, plan_io, preprocess, DisqConfig, EstimationPolicy, PairingPolicy};
+use disq::core::{
+    online, output_from_json, output_to_json, preprocess, DisqConfig, EstimationPolicy,
+    PairingPolicy, PlanMeta,
+};
 use disq::crowd::{CrowdConfig, CrowdPlatform, Money, PricingModel, QuestionKind, SimulatedCrowd};
 use disq::domain::domains::pictures;
 use disq::domain::{ObjectId, Population};
@@ -104,9 +107,15 @@ fn one_connection_pairs_each_helper_once() {
 fn plan_round_trips_between_offline_and_online_process() {
     let (out, _) = run(DisqConfig::default(), 8);
     // "Persist" the plan as the offline process would…
-    let text = plan_io::plan_to_string(&out.plan);
+    let meta = PlanMeta {
+        domain: "pictures".into(),
+        attribute: "Bmi".into(),
+        seed: 8,
+    };
+    let text = output_to_json(&out, &meta);
     // …and load it in a fresh "online process" against a fresh world.
-    let plan = plan_io::plan_from_str(&text).unwrap();
+    let (loaded, _) = output_from_json(&text).unwrap();
+    let plan = loaded.plan;
     assert_eq!(plan.regressions.len(), out.plan.regressions.len());
 
     let spec = Arc::new(pictures::spec());
