@@ -111,6 +111,9 @@ struct BatchState {
     /// Set by the leader when it detaches the batch to execute it;
     /// arrivals that see this must open a fresh batch instead.
     closed: bool,
+    /// Set when the leader unwound without publishing a result; waiting
+    /// followers then panic too instead of waiting forever.
+    abandoned: bool,
     /// The shared answers plus the outcome every sharer reports. On a
     /// partial failure (budget exhaustion mid-batch) the answers
     /// collected before the error are still here, matching the
@@ -297,6 +300,7 @@ impl<P: CrowdPlatform> CoalescingCrowd<P> {
                                 joiners: 1,
                                 reqs: vec![disq_trace::span::current_request()],
                                 closed: false,
+                                abandoned: false,
                                 result: None,
                             }),
                             cv: Condvar::new(),
@@ -327,6 +331,10 @@ impl<P: CrowdPlatform> CoalescingCrowd<P> {
                 let wait_span =
                     disq_trace::span!("batch_wait", "o={} a={} k={} follow", key.0, key.1, k);
                 while st.result.is_none() {
+                    if st.abandoned {
+                        drop(st);
+                        panic!("coalesced batch leader panicked before publishing answers");
+                    }
                     st = batch.cv.wait(st).unwrap_or_else(|e| e.into_inner());
                 }
                 drop(wait_span);
@@ -345,6 +353,11 @@ impl<P: CrowdPlatform> CoalescingCrowd<P> {
         k: usize,
         out: &mut Vec<f64>,
     ) -> Result<(), CrowdError> {
+        let _abandon_on_unwind = LeaderGuard {
+            inner: &self.inner,
+            key,
+            batch,
+        };
         let deadline = Instant::now() + self.inner.config.window;
         {
             let _wait_span =
@@ -429,6 +442,40 @@ impl<P: CrowdPlatform> CoalescingCrowd<P> {
         st.result = Some((answers, outcome));
         batch.cv.notify_all();
         split_result(&st, k, out)
+    }
+}
+
+/// Held by a batch leader for the whole of its duty. If the leader
+/// unwinds before publishing (the platform call panicked), the drop
+/// detaches the batch and marks it abandoned, so every follower returns
+/// (by panicking, which the request handler turns into an error
+/// response) and later arrivals open a fresh batch.
+struct LeaderGuard<'a, P> {
+    inner: &'a Inner<P>,
+    key: (u64, u32),
+    batch: &'a Arc<Batch>,
+}
+
+impl<P> Drop for LeaderGuard<'_, P> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        {
+            let mut open = self.inner.open.lock().unwrap_or_else(|e| e.into_inner());
+            if open
+                .get(&self.key)
+                .is_some_and(|b| Arc::ptr_eq(b, self.batch))
+            {
+                open.remove(&self.key);
+            }
+        }
+        let mut st = self.batch.state.lock().unwrap_or_else(|e| e.into_inner());
+        if st.result.is_none() {
+            st.closed = true;
+            st.abandoned = true;
+            self.batch.cv.notify_all();
+        }
     }
 }
 
@@ -663,6 +710,62 @@ mod tests {
             assert_eq!(out.len(), 3, "partial answers survive");
         }
         assert_eq!(outcomes[0].0, outcomes[1].0);
+    }
+
+    /// A platform whose value questions panic.
+    struct PanickingPlatform(crate::BudgetLedger);
+
+    impl CrowdPlatform for PanickingPlatform {
+        fn ask_value(&mut self, _: ObjectId, _: AttributeId) -> Result<f64, CrowdError> {
+            panic!("platform failure");
+        }
+        fn ask_dismantle(&mut self, _: AttributeId) -> Result<String, CrowdError> {
+            unreachable!()
+        }
+        fn ask_verify(&mut self, _: &str, _: AttributeId) -> Result<bool, CrowdError> {
+            unreachable!()
+        }
+        fn ask_example(&mut self, _: &[AttributeId]) -> Result<(ObjectId, Vec<f64>), CrowdError> {
+            unreachable!()
+        }
+        fn ledger(&self) -> &crate::BudgetLedger {
+            &self.0
+        }
+    }
+
+    /// A leader that panics inside the platform call must not strand
+    /// its followers: every joiner of the shared batch returns (here by
+    /// panicking) within a bounded time, and the cell stays usable.
+    #[test]
+    fn leader_panic_releases_every_joiner() {
+        let joiners = 3;
+        let coalescer = CoalescingCrowd::new(
+            PanickingPlatform(crate::BudgetLedger::unlimited()),
+            BatcherConfig {
+                window: Duration::from_secs(30),
+                max_batch: joiners,
+            },
+        );
+        let guards: Vec<_> = (0..joiners).map(|_| coalescer.begin_query()).collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        for _ in 0..joiners {
+            let mut h = coalescer.clone();
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    h.ask_values(ObjectId(0), AttributeId(0), 2, &mut Vec::new())
+                }));
+                tx.send(outcome.is_err()).unwrap();
+            });
+        }
+        for i in 0..joiners {
+            let panicked = rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("joiner {i} of {joiners} never returned"));
+            assert!(panicked, "a joiner got an answer from a panicking platform");
+        }
+        assert!(coalescer.inner.open.lock().unwrap().is_empty());
+        drop(guards);
     }
 
     /// The query guard counter pairs increments with decrements.
