@@ -38,7 +38,7 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// The harness row's `serve` block.
-    pub fn row(&self) -> disq_trace::ServeRow {
+    fn row(&self) -> disq_trace::ServeRow {
         disq_trace::ServeRow {
             p50_us: self.p50_us as f64,
             p90_us: Some(self.p90_us as f64),
@@ -161,7 +161,7 @@ impl HarnessTimings {
     }
 
     /// The record for `BENCH_harness.json`.
-    pub fn row(&self) -> disq_trace::BenchRow {
+    fn row(&self) -> disq_trace::BenchRow {
         disq_trace::BenchRow {
             experiment: self.key(),
             threads: self.threads as u64,

@@ -111,8 +111,8 @@ struct BatchState {
     /// Set by the leader when it detaches the batch to execute it;
     /// arrivals that see this must open a fresh batch instead.
     closed: bool,
-    /// Set when the leader unwound without publishing a result; waiting
-    /// followers then panic too instead of waiting forever.
+    /// Set when the platform call unwound on the leader; waiting
+    /// followers then panic too instead of waiting for a result.
     abandoned: bool,
     /// The shared answers plus the outcome every sharer reports. On a
     /// partial failure (budget exhaustion mid-batch) the answers
@@ -353,11 +353,6 @@ impl<P: CrowdPlatform> CoalescingCrowd<P> {
         k: usize,
         out: &mut Vec<f64>,
     ) -> Result<(), CrowdError> {
-        let _abandon_on_unwind = LeaderGuard {
-            inner: &self.inner,
-            key,
-            batch,
-        };
         let deadline = Instant::now() + self.inner.config.window;
         {
             let _wait_span =
@@ -410,6 +405,7 @@ impl<P: CrowdPlatform> CoalescingCrowd<P> {
         disq_trace::span::note_coalesce_width(joiners as u64);
 
         let mut answers = Vec::with_capacity(k_max);
+        let _abandon = AbandonOnUnwind(batch);
         let outcome = {
             // The flush runs on the leader's thread (and under its
             // request scope); the event below carries every sharer.
@@ -445,36 +441,18 @@ impl<P: CrowdPlatform> CoalescingCrowd<P> {
     }
 }
 
-/// Held by a batch leader for the whole of its duty. If the leader
-/// unwinds before publishing (the platform call panicked), the drop
-/// detaches the batch and marks it abandoned, so every follower returns
-/// (by panicking, which the request handler turns into an error
-/// response) and later arrivals open a fresh batch.
-struct LeaderGuard<'a, P> {
-    inner: &'a Inner<P>,
-    key: (u64, u32),
-    batch: &'a Arc<Batch>,
-}
+/// Armed by a batch leader around the platform call. If the call
+/// panics, the drop marks the batch abandoned so every waiting follower
+/// returns (by panicking, which the request handler turns into an error
+/// response) instead of waiting forever for a result.
+struct AbandonOnUnwind<'a>(&'a Batch);
 
-impl<P> Drop for LeaderGuard<'_, P> {
+impl Drop for AbandonOnUnwind<'_> {
     fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
-        {
-            let mut open = self.inner.open.lock().unwrap_or_else(|e| e.into_inner());
-            if open
-                .get(&self.key)
-                .is_some_and(|b| Arc::ptr_eq(b, self.batch))
-            {
-                open.remove(&self.key);
-            }
-        }
-        let mut st = self.batch.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.result.is_none() {
-            st.closed = true;
+        if std::thread::panicking() {
+            let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
             st.abandoned = true;
-            self.batch.cv.notify_all();
+            self.0.cv.notify_all();
         }
     }
 }

@@ -6,12 +6,12 @@
 //! Rust's shortest round-trip formatting; non-finite values encode as
 //! `null` and decode as NaN).
 //!
-//! The whole wire format is the one table in the [`wire_format!`]
+//! The whole wire format is the one table in the `wire_format!`
 //! invocation below: each entry declares a variant's tag and its fields
 //! in wire order, and the macro emits the types, [`TraceEvent::name`],
 //! the writer and the parser from it. A field's JSON key is its Rust
 //! name; how a value is written and read is decided once per field type
-//! by [`Field`]. Adding an event or a field is one table edit.
+//! by `Field`. Adding an event or a field is one table edit.
 
 use crate::json::{self, write_f64, write_str, Json};
 use std::fmt::Write as _;
@@ -24,11 +24,12 @@ trait Field: Sized {
     fn read(v: &Json) -> Result<Self, String>;
 }
 
-macro_rules! scalar_fields {
-    ($($t:ty: $read:expr;)*) => {$(
+/// Implements [`Field`] for a type from its writer and its reader.
+macro_rules! fields {
+    ($($t:ty => $write:expr, $read:expr;)*) => {$(
         impl Field for $t {
             fn write(&self, out: &mut String) {
-                let _ = write!(out, "{self}");
+                $write(out, self)
             }
             fn read(v: &Json) -> Result<Self, String> {
                 $read(v).ok_or_else(|| concat!("expected ", stringify!($t)).to_string())
@@ -37,32 +38,18 @@ macro_rules! scalar_fields {
     )*};
 }
 
-scalar_fields! {
-    u64: Json::as_u64;
-    u32: |v: &Json| v.as_u64().and_then(|n| u32::try_from(n).ok());
-    i64: Json::as_i64;
-    bool: Json::as_bool;
+fn write_display(out: &mut String, v: &impl std::fmt::Display) {
+    let _ = write!(out, "{v}");
 }
 
-impl Field for String {
-    fn write(&self, out: &mut String) {
-        write_str(out, self);
-    }
-    fn read(v: &Json) -> Result<Self, String> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| "expected a string".to_string())
-    }
-}
-
-/// Non-finite values write as `null`, and `null` reads as NaN.
-impl Field for f64 {
-    fn write(&self, out: &mut String) {
-        write_f64(out, *self);
-    }
-    fn read(v: &Json) -> Result<Self, String> {
-        v.as_f64().ok_or_else(|| "expected a number".to_string())
-    }
+fields! {
+    u64 => write_display, Json::as_u64;
+    u32 => write_display, |v: &Json| v.as_u64().and_then(|n| u32::try_from(n).ok());
+    i64 => write_display, Json::as_i64;
+    bool => write_display, Json::as_bool;
+    String => |out, s: &String| write_str(out, s), |v: &Json| v.as_str().map(str::to_string);
+    // Non-finite values write as `null`, and `null` reads as NaN.
+    f64 => |out, x: &f64| write_f64(out, *x), Json::as_f64;
 }
 
 /// Always written: `None` is `null`. (Only integer payloads are used;
@@ -103,8 +90,18 @@ impl<T: Field> Field for Vec<T> {
     }
 }
 
-/// Appends `<sep>"key":value` and makes `sep` a comma.
-fn put<T: Field>(out: &mut String, sep: &mut char, key: &str, value: &T) {
+/// Appends `<sep>"key":value` and makes `sep` a comma, unless the value
+/// equals the field's declared default.
+fn put<T: Field + PartialEq>(
+    out: &mut String,
+    sep: &mut char,
+    key: &str,
+    value: &T,
+    default: Option<T>,
+) {
+    if default.as_ref() == Some(value) {
+        return;
+    }
     out.push(*sep);
     *sep = ',';
     out.push('"');
@@ -113,35 +110,14 @@ fn put<T: Field>(out: &mut String, sep: &mut char, key: &str, value: &T) {
     value.write(out);
 }
 
-/// Reads the required field `key` of an object.
-fn get<T: Field>(obj: &Json, key: &str) -> Result<T, String> {
-    let v = obj.get(key).ok_or_else(|| format!("missing {key:?}"))?;
-    T::read(v).map_err(|e| format!("{key:?}: {e}"))
-}
-
-/// Writes a field, skipping it when it equals the declared default.
-macro_rules! put_field {
-    ($out:ident, $sep:ident, $f:ident) => {
-        put(&mut $out, &mut $sep, stringify!($f), $f)
-    };
-    ($out:ident, $sep:ident, $f:ident, $default:expr) => {
-        if *$f != $default {
-            put(&mut $out, &mut $sep, stringify!($f), $f)
-        }
-    };
-}
-
-/// Reads a field; one with a declared default may be absent.
-macro_rules! get_field {
-    ($obj:expr, $f:ident) => {
-        get($obj, stringify!($f))?
-    };
-    ($obj:expr, $f:ident, $default:expr) => {
-        match $obj.get(stringify!($f)) {
-            None => $default,
-            Some(_) => get($obj, stringify!($f))?,
-        }
-    };
+/// Reads field `key` of an object; only a field with a declared default
+/// may be absent.
+fn get<T: Field>(obj: &Json, key: &str, default: Option<T>) -> Result<T, String> {
+    match (obj.get(key), default) {
+        (Some(v), _) => T::read(v).map_err(|e| format!("{key:?}: {e}")),
+        (None, Some(d)) => Ok(d),
+        (None, None) => Err(format!("missing {key:?}")),
+    }
 }
 
 /// Generates the event enum, the records nested in its events and their
@@ -176,11 +152,11 @@ macro_rules! wire_format {
             impl Field for $S {
                 fn write(&self, out: &mut String) {
                     let mut sep = '{';
-                    $( put(out, &mut sep, stringify!($sf), &self.$sf); )*
+                    $( put(out, &mut sep, stringify!($sf), &self.$sf, None); )*
                     out.push('}');
                 }
                 fn read(v: &Json) -> Result<Self, String> {
-                    Ok($S { $( $sf: get(v, stringify!($sf))?, )* })
+                    Ok($S { $( $sf: get(v, stringify!($sf), None)?, )* })
                 }
             }
         )*
@@ -209,7 +185,7 @@ macro_rules! wire_format {
                 let mut sep = ',';
                 match self {
                     $( $E::$V { $($f),* } => {
-                        $( put_field!(s, sep, $f $(, $default)?); )*
+                        $( put(&mut s, &mut sep, stringify!($f), $f, None $(.or(Some($default)))?); )*
                     } )*
                 }
                 s.push('}');
@@ -235,7 +211,7 @@ macro_rules! wire_format {
                     .ok_or("missing \"event\" tag")?;
                 let event = match tag {
                     $( $tag => (|| -> Result<$E, String> {
-                        Ok($E::$V { $( $f: get_field!(v, $f $(, $default)?), )* })
+                        Ok($E::$V { $( $f: get(v, stringify!($f), None $(.or(Some($default)))?)?, )* })
                     })(), )*
                     other => return Err(format!("unknown event tag {other:?}")),
                 };

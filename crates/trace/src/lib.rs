@@ -56,7 +56,7 @@ pub mod json;
 mod metrics;
 pub mod reader;
 mod recorder;
-pub mod row;
+mod row;
 pub mod serve;
 mod sink;
 pub mod span;

@@ -113,17 +113,17 @@ impl BenchRow {
     /// from older writers keep parsing. A present `serve` block needs
     /// every key but `p90_us`, and a present `run_summary` must decode.
     pub fn from_json(v: &Json) -> Result<BenchRow, String> {
-        let num = |name: &str| v.get(name).and_then(Json::as_f64);
-        let need = |name: &str| num(name).ok_or_else(|| format!("missing number {name:?}"));
-        let count = |name: &str| num(name).unwrap_or(0.0) as u64;
+        let num = |obj: &Json, name: &str| obj.get(name).and_then(Json::as_f64);
+        let need = |name: &str| num(v, name).ok_or_else(|| format!("missing number {name:?}"));
+        let count = |name: &str| num(v, name).unwrap_or(0.0) as u64;
         let serve = match v.get("serve") {
             Some(b) => {
-                let num = |name: &str| b.get(name).and_then(Json::as_f64);
-                let need =
-                    |name: &str| num(name).ok_or_else(|| format!("serve block missing {name:?}"));
+                let need = |name: &str| {
+                    num(b, name).ok_or_else(|| format!("serve block missing {name:?}"))
+                };
                 Some(ServeRow {
                     p50_us: need("p50_us")?,
-                    p90_us: num("p90_us"),
+                    p90_us: num(b, "p90_us"),
                     p99_us: need("p99_us")?,
                     qps: need("qps")?,
                     questions_per_query: need("questions_per_query")?,
@@ -143,11 +143,11 @@ impl BenchRow {
             reps: count("reps"),
             units: count("units"),
             wall_secs: need("wall_secs")?,
-            cells_per_sec: num("cells_per_sec").unwrap_or(0.0),
+            cells_per_sec: num(v, "cells_per_sec").unwrap_or(0.0),
             units_per_sec: need("units_per_sec")?,
             cache_hits: count("cache_hits"),
             cache_misses: count("cache_misses"),
-            cache_hit_rate: num("cache_hit_rate").unwrap_or(0.0),
+            cache_hit_rate: num(v, "cache_hit_rate").unwrap_or(0.0),
             peak_alloc_bytes: count("peak_alloc_bytes"),
             serve,
             summary: v
