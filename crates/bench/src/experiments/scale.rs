@@ -4,9 +4,8 @@
 //!
 //! Each size runs the same fixed plan (the fig. 1 single-target shape:
 //! value questions, spam filtering, regression assembly) over *every*
-//! object of a freshly sampled population, with the
-//! [`disq_trace`] allocation watermark enabled around the measured
-//! region. The recorded `fig1@n<size>` rows carry `units_per_sec` and
+//! object of a freshly sampled population, with a
+//! [`disq_trace::Watermark`] window open around the measured region. The recorded `fig1@n<size>` rows carry `units_per_sec` and
 //! `peak_alloc_bytes`, so `disq-insight compare --max-alloc-growth` can
 //! gate both time and memory: if either stops scaling linearly in n, the
 //! ratio between adjacent rows drifts and the gate trips.
@@ -98,7 +97,7 @@ pub fn run_sizes(sizes: &[usize]) -> String {
         &["objects", "wall s", "objects/s", "peak heap MB"],
     );
     for &n in sizes {
-        disq_trace::watermark_start();
+        let watermark = disq_trace::Watermark::open();
         let start = Instant::now();
         let mut rng = StdRng::seed_from_u64(n as u64 ^ 0x5CA1E);
         let pop = Population::sample(Arc::clone(&spec), n, &mut rng).unwrap();
@@ -110,7 +109,8 @@ pub fn run_sizes(sizes: &[usize]) -> String {
             .expect("uncapped crowd cannot exhaust its budget");
         std::hint::black_box(&estimates);
         let wall = start.elapsed().as_secs_f64();
-        let peak = disq_trace::watermark_stop();
+        let peak = watermark.peak_bytes();
+        drop(watermark);
         let timings = HarnessTimings {
             experiment: format!("fig1@n{n}"),
             threads: 1,
@@ -158,11 +158,11 @@ mod tests {
 
     #[test]
     fn watermark_sees_the_population() {
-        disq_trace::watermark_start();
+        let watermark = disq_trace::Watermark::open();
         let spec = Arc::new(pictures::spec());
         let mut rng = StdRng::seed_from_u64(1);
         let pop = Population::sample(Arc::clone(&spec), 2_000, &mut rng).unwrap();
-        let peak = disq_trace::watermark_stop();
+        let peak = watermark.peak_bytes();
         // The column store alone is n_objects × n_attributes × 8 bytes.
         let floor = (pop.n_objects() * spec.n_attrs() * 8) as u64;
         assert!(

@@ -72,11 +72,10 @@ pub struct HarnessTimings {
     /// Trace counters and kernel-timer histograms accumulated during the
     /// sweep (the delta of the process-global [`disq_trace`] registry).
     pub summary: disq_trace::RunSummary,
-    /// Peak live-heap delta (bytes) during the measured region, from the
-    /// gated allocation watermark
-    /// ([`disq_trace::watermark_start`]/[`disq_trace::watermark_stop`]).
-    /// Zero when the experiment did not enable the watermark; only the
-    /// scale rows (`fig1@n…`) currently do.
+    /// Peak live-heap delta (bytes) during the measured region, from a
+    /// [`disq_trace::Watermark`] window opened around it on the
+    /// measuring thread. Zero when the experiment opened no window; only
+    /// the scale rows (`fig1@n…`) currently do.
     pub peak_alloc_bytes: u64,
     /// Daemon latency stats; only the `serve@c…` load-generator rows
     /// carry them.

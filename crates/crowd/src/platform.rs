@@ -29,6 +29,7 @@ use disq_math::standard_normal;
 use disq_trace::Timer;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::time::Instant;
 
 /// Environment variable: artificial per-answer latency in microseconds
 /// for batched value questions (default 0 = off). CI's traced serve
@@ -358,6 +359,12 @@ impl SimulatedCrowd {
     /// not the caller wants attribution) and records ids only when
     /// `workers` is provided — the unattributed hot path allocates
     /// nothing.
+    ///
+    /// While tracing is active the batch is timed as a whole: one clock
+    /// read before the loop and one after, recorded as one
+    /// [`Timer::CrowdQuestion`] sample per charge attempt (including a
+    /// failed one on mid-batch budget exhaustion, as per-question timing
+    /// would count it).
     fn ask_values_impl(
         &mut self,
         o: ObjectId,
@@ -371,21 +378,29 @@ impl SimulatedCrowd {
         let (kind, mean, sd, worker_sd) = (spec.kind, spec.mean, spec.sd, spec.worker_sd);
         let truth = self.population.value(o, a);
         let sleep_us = injected_sleep_us();
+        let start = disq_trace::active().then(Instant::now);
+        let mut attempts = 0u64;
+        let mut result = Ok(());
         out.reserve(k);
         for _ in 0..k {
-            let (v, w) = disq_trace::time(Timer::CrowdQuestion, || {
-                self.ledger.charge(qk, price)?;
-                if sleep_us > 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(sleep_us));
-                }
-                Ok(self.draw_value(kind, truth, mean, sd, worker_sd))
-            })?;
+            attempts += 1;
+            if let Err(e) = self.ledger.charge(qk, price) {
+                result = Err(e);
+                break;
+            }
+            if sleep_us > 0 {
+                std::thread::sleep(std::time::Duration::from_micros(sleep_us));
+            }
+            let (v, w) = self.draw_value(kind, truth, mean, sd, worker_sd);
             out.push(v);
             if let Some(ws) = workers.as_deref_mut() {
                 ws.push(w);
             }
         }
-        Ok(())
+        if let Some(start) = start {
+            disq_trace::record_timer_n(Timer::CrowdQuestion, start.elapsed(), attempts);
+        }
+        result
     }
 }
 

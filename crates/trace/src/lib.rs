@@ -40,11 +40,16 @@
 //!
 //! # Overhead contract
 //!
-//! | mechanism | no sink installed (default)        | sink installed            |
-//! |-----------|------------------------------------|---------------------------|
-//! | events    | 1 relaxed load, no construction    | construct + sink write    |
-//! | counters  | relaxed `fetch_add` (always on)    | same                      |
-//! | timers    | 1 relaxed load, no clock read      | 2 clock reads + histogram |
+//! "Sink installed" means tracing is active: a [`TraceSink`] or a
+//! [`FlightRecorder`] (which `disq-serve` always installs) is in place.
+//!
+//! | mechanism       | no sink installed (default)     | sink installed                                    |
+//! |-----------------|---------------------------------|---------------------------------------------------|
+//! | events          | 1 relaxed load, no construction | built once; sink sees `&event`, recorder takes it by move |
+//! | spans           | 1 relaxed load, inert guard     | 1 clock read per edge, for the span and the recorder stamp |
+//! | counters        | relaxed `fetch_add` (always on) | same                                              |
+//! | timers          | 1 relaxed load, no clock read   | 2 clock reads + histogram per call                |
+//! | value questions | 1 relaxed load, no clock read   | 2 clock reads + histogram per batch of `k` ([`record_timer_n`]) |
 
 #![warn(missing_docs)]
 
@@ -61,12 +66,12 @@ pub mod serve;
 mod sink;
 pub mod span;
 
-pub use alloc::{peak_alloc_bytes, watermark_start, watermark_stop, CountingAlloc};
+pub use alloc::{CountingAlloc, Watermark};
 pub use event::{AttrAudit, CandidateScore, KindSpend, TraceEvent};
 pub use expo::prometheus_text;
 pub use metrics::{
-    count, count_n, record_timer, summary, Counter, RunSummary, Timer, TimerStats, COUNTER_COUNT,
-    HIST_BUCKETS, TIMER_COUNT,
+    count, count_n, record_timer, record_timer_n, summary, Counter, RunSummary, Timer, TimerStats,
+    COUNTER_COUNT, HIST_BUCKETS, TIMER_COUNT,
 };
 pub use reader::{SkippedLine, TraceReader, MAX_SKIP_DETAILS};
 pub use recorder::{FlightRecorder, RECORDER_DEFAULT_CAP, RECORDER_DEFAULT_RETAIN};
@@ -189,6 +194,16 @@ pub fn init_from_env() {
 /// closure at zero cost on the default path.
 #[inline]
 pub fn emit(build: impl FnOnce() -> TraceEvent) {
+    emit_at(None, build);
+}
+
+/// [`emit`] for an event that happened at `at`: the flight recorder
+/// stamps that instant instead of reading the clock again (spans pass
+/// the instant they already read for their own timing). The event is
+/// built once; the sink sees it by reference, then it moves into the
+/// recorder's ring without a clone.
+#[inline]
+pub(crate) fn emit_at(at: Option<Instant>, build: impl FnOnce() -> TraceEvent) {
     if !active() {
         return;
     }
@@ -198,11 +213,12 @@ pub fn emit(build: impl FnOnce() -> TraceEvent) {
         return;
     }
     let event = build();
-    if let Some(rec) = rec {
-        rec.record(&event);
-    }
     if let Some(sink) = sink {
         sink.emit(&event);
+    }
+    if let Some(rec) = rec {
+        let t_us = at.map_or_else(span::epoch_micros, span::micros_since_epoch);
+        rec.push(t_us, event);
     }
 }
 

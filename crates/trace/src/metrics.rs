@@ -213,7 +213,10 @@ pub enum Timer {
     QuadFormSolve,
     /// Dense `Cholesky::new` factorization.
     CholeskyFactorize,
-    /// One crowd question end to end (any kind).
+    /// Crowd questions end to end (any kind). Single questions
+    /// (dismantle, verify, example, `ask_value`) are one sample each; a
+    /// batch of `k` value questions is timed as a whole, so each of its
+    /// `k` samples is the per-question mean of that batch.
     CrowdQuestion,
     /// Packed-factor rank-1 diagonal update / bordered append
     /// (`disq_math::rank1`), the incremental solver's mutation kernels.
@@ -267,10 +270,12 @@ impl AtomicHist {
         }
     }
 
-    fn record_ns(&self, ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+    /// Records `n ≥ 1` samples that took `total_ns` together, each
+    /// bucketed at their mean `total_ns / n`.
+    fn record_n(&self, total_ns: u64, n: u64) {
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.total_ns.fetch_add(total_ns, Ordering::Relaxed);
+        self.buckets[bucket_of(total_ns / n)].fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -321,8 +326,21 @@ pub fn count_n(counter: Counter, n: u64) {
 /// Records one timed kernel invocation. Callers gate on
 /// [`crate::active`]; see [`crate::time`].
 pub fn record_timer(timer: Timer, elapsed: Duration) {
+    record_timer_n(timer, elapsed, 1);
+}
+
+/// Records `n` invocations timed together as one `elapsed` interval:
+/// `count` grows by `n`, `total_ns` by `elapsed`, and all `n` samples
+/// land in the bucket of the per-invocation mean `elapsed / n`. Open
+/// spans attribute `elapsed` once, exactly as `n` separate recordings
+/// summing to it would. `n = 0` records nothing. Callers gate on
+/// [`crate::active`], as for [`record_timer`].
+pub fn record_timer_n(timer: Timer, elapsed: Duration, n: u64) {
+    if n == 0 {
+        return;
+    }
     let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-    REGISTRY.timers[timer as usize].record_ns(ns);
+    REGISTRY.timers[timer as usize].record_n(ns, n);
     crate::span::note_kernel_ns(ns);
 }
 
@@ -701,6 +719,26 @@ mod tests {
         assert_eq!(stats.count, 1);
         assert_eq!(stats.total_ns, 100);
         assert_eq!(stats.buckets[bucket_of(100)], 1);
+    }
+
+    #[test]
+    fn record_timer_n_counts_every_sample_at_the_batch_mean() {
+        let before = summary();
+        record_timer_n(Timer::Rank1Update, Duration::from_nanos(4_000), 8);
+        let delta = summary().delta_since(&before);
+        let stats = delta.timer(Timer::Rank1Update);
+        assert_eq!(stats.count, 8);
+        assert_eq!(stats.total_ns, 4_000);
+        // All eight samples sit in the bucket of the 500 ns mean.
+        assert_eq!(stats.buckets[bucket_of(500)], 8);
+        assert_eq!(stats.buckets.iter().sum::<u64>(), 8);
+
+        let before = summary();
+        record_timer_n(Timer::Rank1Update, Duration::from_nanos(4_000), 0);
+        assert_eq!(
+            summary().delta_since(&before).timer(Timer::Rank1Update),
+            &TimerStats::zero()
+        );
     }
 
     #[test]

@@ -9,9 +9,17 @@
 //! when *either* is installed. Memory is bounded two ways — a hard
 //! event cap and a retention window — and eviction is drop-oldest, so
 //! an idle server retains only the (tiny) tail of its last activity
-//! and a busy one holds at most `cap` events. The ring is a single
-//! `Mutex<VecDeque>` with O(1) push/evict and no allocation beyond the
-//! events themselves; per-event cost is one short critical section.
+//! and a busy one holds at most `cap` events.
+//!
+//! The ring is a single `Mutex<VecDeque>` with O(1) push/evict. On the
+//! emit path the event is built once and *moved* into the ring (no
+//! clone per event), stamped with a clock reading the caller already
+//! holds where it has one (span edges). Per event that leaves one lock
+//! acquisition whose critical section pops expired or over-cap events,
+//! drops them (freeing their strings) and pushes the new one; once the
+//! ring is full that is one eviction per push. The public
+//! [`FlightRecorder::record`] takes a reference, so it reads the clock
+//! and clones.
 //!
 //! Dumps use the exact [`crate::JsonlSink`] line format
 //! (`{"t_us":…,…}`), so [`crate::TraceReader`] and every `disq-insight`
@@ -72,7 +80,16 @@ impl FlightRecorder {
         if self.cap == 0 {
             return;
         }
-        let now = epoch_micros();
+        self.push(epoch_micros(), event.clone());
+    }
+
+    /// [`FlightRecorder::record`] for an owned event already stamped
+    /// `now` on the [`epoch_micros`] base: the path [`crate::emit`]
+    /// takes.
+    pub(crate) fn push(&self, now: u64, event: TraceEvent) {
+        if self.cap == 0 {
+            return;
+        }
         let horizon = now.saturating_sub(self.retain_us);
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         let mut evicted = 0u64;
@@ -82,7 +99,7 @@ impl FlightRecorder {
             }
             evicted += 1;
         }
-        ring.push_back((now, event.clone()));
+        ring.push_back((now, event));
         drop(ring);
         if evicted > 0 {
             self.evicted.fetch_add(evicted, Ordering::Relaxed);

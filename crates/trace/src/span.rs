@@ -54,8 +54,14 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 /// process. The JSONL sink stamps every line with this clock so exports
 /// (Chrome trace events) share one time base across threads.
 pub fn epoch_micros() -> u64 {
-    let epoch = *EPOCH.get_or_init(Instant::now);
-    u64::try_from(epoch.elapsed().as_micros()).unwrap_or(u64::MAX)
+    micros_since_epoch(Instant::now())
+}
+
+/// `at` on the [`epoch_micros`] time base, so a clock reading taken for
+/// another purpose can stamp an event without a second read.
+pub(crate) fn micros_since_epoch(at: Instant) -> u64 {
+    let epoch = *EPOCH.get_or_init(|| at);
+    u64::try_from(at.saturating_duration_since(epoch).as_micros()).unwrap_or(u64::MAX)
 }
 
 // Per-thread resource accumulators. All are const-initialized `Cell`s of
@@ -241,7 +247,11 @@ pub fn enter(label: &'static str, detail: impl FnOnce() -> String) -> SpanGuard 
     let parent = STACK.with(|s| s.borrow().last().map(|f| f.id));
     let detail = detail();
     let req = current_request();
-    crate::emit(move || TraceEvent::SpanStart {
+    // One clock read serves both the recorder's stamp and the frame's
+    // start, so `span_end.t_us − span_start.t_us` and `dur_ns` measure
+    // the same interval.
+    let start = Instant::now();
+    crate::emit_at(Some(start), move || TraceEvent::SpanStart {
         id,
         parent,
         tid,
@@ -252,7 +262,7 @@ pub fn enter(label: &'static str, detail: impl FnOnce() -> String) -> SpanGuard 
     STACK.with(|s| {
         s.borrow_mut().push(Frame {
             id,
-            start: Instant::now(),
+            start,
             bytes0: thread_alloc_bytes(),
             allocs0: thread_allocs(),
             questions0: QUESTIONS.with(Cell::get),
@@ -289,14 +299,15 @@ impl Drop for SpanGuard {
 /// Emits the `span_end` for one popped frame, attributing the resource
 /// deltas accumulated on this thread since the frame was pushed.
 fn emit_end(frame: &Frame) {
-    let dur_ns = u64::try_from(frame.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let end = Instant::now();
+    let dur_ns = u64::try_from(end.duration_since(frame.start).as_nanos()).unwrap_or(u64::MAX);
     let alloc_bytes = thread_alloc_bytes().wrapping_sub(frame.bytes0);
     let allocs = thread_allocs().wrapping_sub(frame.allocs0);
     let questions = QUESTIONS.with(Cell::get).wrapping_sub(frame.questions0);
     let kernel_ns = KERNEL_NS.with(Cell::get).wrapping_sub(frame.kernel0);
     let id = frame.id;
     let tid = current_tid();
-    crate::emit(move || TraceEvent::SpanEnd {
+    crate::emit_at(Some(end), move || TraceEvent::SpanEnd {
         id,
         tid,
         dur_ns,
