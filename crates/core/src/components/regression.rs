@@ -220,7 +220,8 @@ fn collect_fresh_row<P: CrowdPlatform>(
 
 /// Produces one training row: for every active attribute, average exactly
 /// `b(a)` answers — recorded ones first (when `e_idx` references an `E_B`
-/// example), fresh value questions for the rest.
+/// example), fresh value questions for the rest, asked as one
+/// [`CrowdPlatform::ask_values`] batch per cell.
 fn build_row<P: CrowdPlatform>(
     platform: &mut P,
     collector: &StatisticsCollector,
@@ -239,9 +240,8 @@ fn build_row<P: CrowdPlatform>(
                 answers.extend(recorded.iter().take(need));
             }
         }
-        while answers.len() < need {
-            answers.push(platform.ask_value(object, pool.get(a).attr)?);
-        }
+        let fresh = need - answers.len();
+        platform.ask_values(object, pool.get(a).attr, fresh, &mut answers)?;
         // Aggregate exactly as the online phase will (spam filter, then
         // average) — any train/serve mismatch here biases the learned
         // coefficients.

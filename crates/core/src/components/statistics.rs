@@ -125,6 +125,8 @@ impl StatisticsCollector {
     /// Asks `k` value questions about the new attribute on every example
     /// belonging to a paired target, and records the answers. Returns the
     /// new attribute's collector index (must be called in pool order).
+    /// Each (example, attribute) cell is one [`CrowdPlatform::ask_values`]
+    /// batch: the same answers and ledger charges as `k` single questions.
     pub fn add_attribute<P: CrowdPlatform>(
         &mut self,
         platform: &mut P,
@@ -137,9 +139,7 @@ impl StatisticsCollector {
         for ex in &self.examples {
             if paired[ex.target_idx] {
                 let mut ans = Vec::with_capacity(k);
-                for _ in 0..k {
-                    ans.push(platform.ask_value(ex.object, attr)?);
-                }
+                platform.ask_values(ex.object, attr, k, &mut ans)?;
                 row.push(Some(ans));
             } else {
                 row.push(None);
@@ -186,16 +186,9 @@ impl StatisticsCollector {
         attr: AttributeId,
         extra_k: usize,
     ) -> Result<(), DisqError> {
-        for e in 0..self.answers[pool_attr].len() {
-            if self.answers[pool_attr][e].is_some() {
-                let object = self.examples[e].object;
-                for _ in 0..extra_k {
-                    let answer = platform.ask_value(object, attr)?;
-                    self.answers[pool_attr][e]
-                        .as_mut()
-                        .expect("cell checked above")
-                        .push(answer);
-                }
+        for (cell, ex) in self.answers[pool_attr].iter_mut().zip(&self.examples) {
+            if let Some(cell) = cell {
+                platform.ask_values(ex.object, attr, extra_k, cell)?;
             }
         }
         Ok(())

@@ -24,7 +24,7 @@
 
 use crate::worker::{WorkerConfig, WorkerId, WorkerPool};
 use crate::{BudgetLedger, CrowdError, Money, PricingModel, QuestionKind};
-use disq_domain::{AttributeId, AttributeKind, ObjectId, Population};
+use disq_domain::{AttributeId, AttributeKind, DomainSpec, ObjectId, Population};
 use disq_math::standard_normal;
 use disq_trace::Timer;
 use rand::rngs::StdRng;
@@ -35,7 +35,9 @@ use std::time::Instant;
 /// for batched value questions (default 0 = off). CI's traced serve
 /// smoke uses it to inject a provably slow request for the flight
 /// recorder to catch; the sleep happens outside every RNG draw and
-/// ledger charge, so answer streams stay bit-identical.
+/// ledger charge, so answer streams stay bit-identical. Preprocessing
+/// asks its value questions in batches too, so a cold plan build sleeps
+/// once per value answer as well, not only the online estimation.
 pub const CROWD_SLEEP_ENV: &str = "DISQ_CROWD_SLEEP_US";
 
 /// Reads [`CROWD_SLEEP_ENV`] once per process.
@@ -259,6 +261,10 @@ pub struct SimulatedCrowd {
     /// Identity stream, derived from the crowd seed but fully separate
     /// from the answer stream `rng` — see [`WORKER_STREAM_SALT`].
     worker_rng: StdRng,
+    /// `(candidate, of, p_yes)` of the last verification question. An
+    /// SPRT dialogue asks about one candidate many times in a row and
+    /// the spec is immutable, so `p_yes` is resolved once per dialogue.
+    verify_memo: Option<(String, AttributeId, f64)>,
 }
 
 impl SimulatedCrowd {
@@ -278,6 +284,7 @@ impl SimulatedCrowd {
             rng: StdRng::seed_from_u64(seed),
             pool,
             worker_rng: StdRng::seed_from_u64(seed ^ WORKER_STREAM_SALT),
+            verify_memo: None,
         }
     }
 
@@ -306,6 +313,19 @@ impl SimulatedCrowd {
             AttributeKind::Numeric => QuestionKind::NumericValue,
         };
         (qk, price)
+    }
+
+    /// Probability that a worker confirms `candidate` as helpful for
+    /// `of`, memoized on the last `(candidate, of)` pair asked.
+    fn verify_p_yes(&mut self, candidate: &str, of: AttributeId) -> f64 {
+        if let Some((c, o, p)) = &self.verify_memo {
+            if *o == of && c == candidate {
+                return *p;
+            }
+        }
+        let p = verify_p_yes(self.population.spec(), candidate, of);
+        self.verify_memo = Some((candidate.to_string(), of, p));
+        p
     }
 
     /// Draws one value answer *after* the ledger accepted the charge.
@@ -404,6 +424,16 @@ impl SimulatedCrowd {
     }
 }
 
+/// Probability that a worker confirms `candidate` (raw text) as helpful
+/// for estimating `of`: rising with the true correlation, and low for
+/// junk the crowd does not recognize as related.
+fn verify_p_yes(spec: &DomainSpec, candidate: &str, of: AttributeId) -> f64 {
+    match spec.id_of(candidate) {
+        Some(c) => (0.2 + 1.1 * spec.correlation(c, of).abs()).clamp(0.05, 0.95),
+        None => 0.15,
+    }
+}
+
 impl CrowdPlatform for SimulatedCrowd {
     fn ask_value(&mut self, o: ObjectId, a: AttributeId) -> Result<f64, CrowdError> {
         self.ask_value_attributed(o, a).map(|(v, _)| v)
@@ -484,15 +514,7 @@ impl CrowdPlatform for SimulatedCrowd {
         disq_trace::time(Timer::CrowdQuestion, || {
             self.ledger
                 .charge(QuestionKind::Verify, self.config.pricing.verify)?;
-            let spec = self.population.spec();
-            let p_yes = match spec.id_of(candidate) {
-                Some(c) => {
-                    let rho = spec.correlation(c, of).abs();
-                    (0.2 + 1.1 * rho).clamp(0.05, 0.95)
-                }
-                // Junk the crowd does not recognize as related.
-                None => 0.15,
-            };
+            let p_yes = self.verify_p_yes(candidate, of);
             Ok(self.rng.random::<f64>() < p_yes)
         })
     }
@@ -669,6 +691,42 @@ mod tests {
         // "big" is a synonym of Heavy (rho 0.86 with Bmi).
         let yes = (0..n).filter(|_| c.ask_verify("big", bmi).unwrap()).count();
         assert!(yes as f64 / n as f64 > 0.6);
+    }
+
+    /// The `p_yes` memo is keyed by candidate *and* parent: interleaved
+    /// dialogues still answer `rng < p_yes(candidate, of)` with `p_yes`
+    /// resolved afresh from the spec, on the crowd's own answer stream.
+    #[test]
+    fn verify_memo_tracks_candidate_and_parent() {
+        let mut c = crowd(None);
+        let spec = c.population().spec_arc();
+        let bmi = spec.id_of("Bmi").unwrap();
+        let wrinkles = spec.id_of("Wrinkles").unwrap();
+        let (a, b) = ("Weight", "phase of the moon");
+        assert!(
+            verify_p_yes(&spec, a, bmi) - verify_p_yes(&spec, a, wrinkles) > 0.3,
+            "the parents must tell the memo's key apart"
+        );
+        let dialogue = [
+            (a, bmi),
+            (a, bmi),
+            (b, bmi),
+            (a, wrinkles),
+            (a, bmi),
+            ("big", wrinkles),
+        ];
+        let mut rng = StdRng::seed_from_u64(42);
+        for round in 0..50 {
+            for &(candidate, of) in &dialogue {
+                let want = rng.random::<f64>() < verify_p_yes(&spec, candidate, of);
+                let got = c.ask_verify(candidate, of).unwrap();
+                assert_eq!(got, want, "round {round}: {candidate} for {of}");
+            }
+        }
+        assert_eq!(
+            c.ledger().count(QuestionKind::Verify),
+            50 * dialogue.len() as u64
+        );
     }
 
     #[test]

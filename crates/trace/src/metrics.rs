@@ -216,7 +216,9 @@ pub enum Timer {
     /// Crowd questions end to end (any kind). Single questions
     /// (dismantle, verify, example, `ask_value`) are one sample each; a
     /// batch of `k` value questions is timed as a whole, so each of its
-    /// `k` samples is the per-question mean of that batch.
+    /// `k` samples is the per-question mean of that batch. Preprocessing
+    /// and the online phase both ask value questions in batches, one per
+    /// object × attribute cell.
     CrowdQuestion,
     /// Packed-factor rank-1 diagonal update / bordered append
     /// (`disq_math::rank1`), the incremental solver's mutation kernels.
