@@ -200,7 +200,6 @@ fn estimate_object_impl<P: ValueSource>(
     out: &mut Vec<f64>,
     mut audit: Option<&mut OnlineAudit>,
 ) -> Result<(), DisqError> {
-    let _span = disq_trace::span!("object", "o={}", object.0);
     scratch.averages.clear();
     for (i, p) in plan.attributes.iter().enumerate() {
         scratch.answers.clear();

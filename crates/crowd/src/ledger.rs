@@ -83,27 +83,73 @@ impl BudgetLedger {
     /// would be exceeded.
     pub fn charge(&mut self, kind: QuestionKind, price: Money) -> Result<(), CrowdError> {
         if !self.can_afford(price) {
-            return Err(CrowdError::BudgetExhausted {
-                needed: price,
-                remaining: self.remaining(),
-            });
+            return Err(self.refusal(price));
         }
-        self.spent += price;
+        self.record(kind, price, 1);
+        Ok(())
+    }
+
+    /// Charges the affordable prefix of `k` questions of one kind at
+    /// `price` each and returns how many it charged. The ledger ends up
+    /// exactly where `k` calls to [`charge`](Self::charge) stopping at the
+    /// first refusal would leave it, but every field and global counter
+    /// moves once, by the charged count. When fewer than `k` were
+    /// affordable, the refusal the loop would have stopped on is the
+    /// error the next `charge` of `price` returns.
+    pub fn charge_up_to(&mut self, kind: QuestionKind, price: Money, k: usize) -> usize {
+        let n = self.affordable(price, k);
+        if n > 0 {
+            self.record(kind, price, n as u64);
+        }
+        n
+    }
+
+    /// The error a charge of `price` is refused with right now.
+    pub(crate) fn refusal(&self, price: Money) -> CrowdError {
+        CrowdError::BudgetExhausted {
+            needed: price,
+            remaining: self.remaining(),
+        }
+    }
+
+    /// How many of `k` consecutive charges of `price` fit under the cap.
+    fn affordable(&self, price: Money, k: usize) -> usize {
+        let Some(cap) = self.cap else { return k };
+        if !self.can_afford(price) {
+            return 0;
+        }
+        if price <= Money::ZERO {
+            // The first charge fits and none raises the spend.
+            return k;
+        }
+        let fit = (cap - self.spent).millicents() / price.millicents();
+        usize::try_from(fit).map_or(k, |fit| fit.min(k))
+    }
+
+    /// Records `n` accepted questions of one kind at `price` each.
+    fn record(&mut self, kind: QuestionKind, price: Money, n: u64) {
+        let amount = price * i64::try_from(n).expect("question count fits in i64");
+        self.spent += amount;
         let i = kind_index(kind);
-        self.counts[i] += 1;
-        self.totals[i] += price;
+        self.counts[i] += n;
+        self.totals[i] += amount;
         // Trace visibility: every charged question bumps the global
         // per-kind counters (relaxed atomics — see the disq-trace
-        // overhead contract).
-        disq_trace::count(match kind {
-            QuestionKind::BinaryValue => Counter::QuestionsBinary,
-            QuestionKind::NumericValue => Counter::QuestionsNumeric,
-            QuestionKind::Dismantle => Counter::QuestionsDismantle,
-            QuestionKind::Verify => Counter::QuestionsVerify,
-            QuestionKind::Example => Counter::QuestionsExample,
-        });
-        disq_trace::count_n(Counter::SpendMillicents, price.millicents().max(0) as u64);
-        Ok(())
+        // overhead contract), once per call however many it charged.
+        disq_trace::count_n(
+            match kind {
+                QuestionKind::BinaryValue => Counter::QuestionsBinary,
+                QuestionKind::NumericValue => Counter::QuestionsNumeric,
+                QuestionKind::Dismantle => Counter::QuestionsDismantle,
+                QuestionKind::Verify => Counter::QuestionsVerify,
+                QuestionKind::Example => Counter::QuestionsExample,
+            },
+            n,
+        );
+        disq_trace::count_n(
+            Counter::SpendMillicents,
+            price.millicents().max(0) as u64 * n,
+        );
     }
 
     /// Number of questions of a kind charged so far.
@@ -318,5 +364,77 @@ mod tests {
             .unwrap();
         assert!(!l.can_afford(Money::from_cents(0.1)));
         assert!(l.can_afford(Money::ZERO));
+    }
+
+    /// `k` calls to `charge` that stop at the first refusal: the charged
+    /// count and the refusal, if any.
+    fn charge_loop(
+        l: &mut BudgetLedger,
+        kind: QuestionKind,
+        price: Money,
+        k: usize,
+    ) -> (usize, Option<CrowdError>) {
+        for charged in 0..k {
+            if let Err(e) = l.charge(kind, price) {
+                return (charged, Some(e));
+            }
+        }
+        (k, None)
+    }
+
+    #[test]
+    fn charge_up_to_matches_a_charge_loop() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut short = 0;
+        for case in 0..4000 {
+            let mut l = if rng.random::<f64>() < 0.25 {
+                BudgetLedger::unlimited()
+            } else {
+                BudgetLedger::with_cap(Money::from_millicents(rng.random_range(0..5_000u64) as i64))
+            };
+            // Pre-spend with a few single charges, some of them refused.
+            for _ in 0..rng.random_range(0..6usize) {
+                let kind = QuestionKind::ALL[rng.random_range(0..5usize)];
+                let _ = l.charge(
+                    kind,
+                    Money::from_millicents(rng.random_range(0..1_500u64) as i64),
+                );
+            }
+            let remaining = l.remaining().millicents().min(5_000);
+            let price = Money::from_millicents(match rng.random_range(0..4u32) {
+                0 => 0,
+                // About a twelfth to all of what is left, often hitting the cap
+                // exactly.
+                1 => (remaining / rng.random_range(1..13u64) as i64).max(1),
+                2 => remaining + rng.random_range(1..100u64) as i64,
+                _ => rng.random_range(1..800u64) as i64,
+            });
+            let fit = if price.is_positive() {
+                (remaining / price.millicents()) as usize
+            } else {
+                8
+            };
+            let k = match rng.random_range(0..4u32) {
+                0 => 0,
+                1 => fit,
+                2 => fit + rng.random_range(1..5usize),
+                _ => rng.random_range(0..fit + 3),
+            };
+            let kind = QuestionKind::ALL[rng.random_range(0..5usize)];
+
+            let mut looped = l.clone();
+            let (want_n, want_err) = charge_loop(&mut looped, kind, price, k);
+            let mut batched = l;
+            let n = batched.charge_up_to(kind, price, k);
+            let err = (n < k).then(|| batched.charge(kind, price).unwrap_err());
+            assert_eq!(n, want_n, "case {case}: price {price}, k {k}");
+            assert_eq!(err, want_err, "case {case}");
+            assert_eq!(batched.snapshot(), looped.snapshot(), "case {case}");
+            assert_eq!(batched.remaining(), looped.remaining(), "case {case}");
+            short += usize::from(n < k);
+        }
+        assert!(short > 500, "only {short} cases ran out of budget");
     }
 }

@@ -380,6 +380,12 @@ impl SimulatedCrowd {
     /// `workers` is provided — the unattributed hot path allocates
     /// nothing.
     ///
+    /// The cell is charged once, for the affordable prefix of its `k`
+    /// answers ([`BudgetLedger::charge_up_to`]); those answers are then
+    /// drawn in order. On a short charge the cell keeps them and fails
+    /// with the refusal that charging the first unaffordable answer on
+    /// its own returns.
+    ///
     /// While tracing is active the batch is timed as a whole: one clock
     /// read before the loop and one after, recorded as one
     /// [`Timer::CrowdQuestion`] sample per charge attempt (including a
@@ -399,15 +405,9 @@ impl SimulatedCrowd {
         let truth = self.population.value(o, a);
         let sleep_us = injected_sleep_us();
         let start = disq_trace::active().then(Instant::now);
-        let mut attempts = 0u64;
-        let mut result = Ok(());
-        out.reserve(k);
-        for _ in 0..k {
-            attempts += 1;
-            if let Err(e) = self.ledger.charge(qk, price) {
-                result = Err(e);
-                break;
-            }
+        let charged = self.ledger.charge_up_to(qk, price, k);
+        out.reserve(charged);
+        for _ in 0..charged {
             if sleep_us > 0 {
                 std::thread::sleep(std::time::Duration::from_micros(sleep_us));
             }
@@ -417,10 +417,15 @@ impl SimulatedCrowd {
                 ws.push(w);
             }
         }
+        let short = charged < k;
         if let Some(start) = start {
+            let attempts = charged as u64 + u64::from(short);
             disq_trace::record_timer_n(Timer::CrowdQuestion, start.elapsed(), attempts);
         }
-        result
+        if short {
+            return Err(self.ledger.refusal(price));
+        }
+        Ok(())
     }
 }
 
@@ -456,10 +461,11 @@ impl CrowdPlatform for SimulatedCrowd {
 
     /// Batched value questions: the price, attribute spec, and ground
     /// truth are resolved once for the whole batch (one column lookup
-    /// instead of `k`), but every answer still charges the ledger and
-    /// draws from the RNG in exactly the order `k` separate
-    /// [`ask_value`](CrowdPlatform::ask_value) calls would — the answer
-    /// stream is bit-identical (`batched_ask_matches_looped_ask`).
+    /// instead of `k`) and the ledger is charged once for the batch, but
+    /// the ledger ends where `k` separate
+    /// [`ask_value`](CrowdPlatform::ask_value) calls would leave it and
+    /// the answers are drawn from the RNG in exactly their order — the
+    /// answer stream is bit-identical (`batched_ask_matches_looped_ask`).
     fn ask_values(
         &mut self,
         o: ObjectId,

@@ -32,6 +32,8 @@ pub fn phase_of(label: &str) -> &'static str {
         | "refine" | "refine_round" | "budget_dist" => "plan compute",
         "batch_wait" => "batcher wait",
         "batch_flush" => "crowd batch flush",
+        // The online kernel no longer opens a span per `object`; the
+        // label stays mapped for dumps recorded before it stopped.
         "evaluate_query" | "estimate_objects" | "object" => "estimation kernel",
         l if l.starts_with("regression") => "regression",
         _ => "other",

@@ -49,11 +49,14 @@
 //! | spans           | 1 relaxed load, inert guard     | 1 clock read per edge, for the span and the recorder stamp |
 //! | counters        | relaxed `fetch_add` (always on) | same                                              |
 //! | timers          | 1 relaxed load, no clock read   | 2 clock reads + histogram per call                |
-//! | value questions | 1 relaxed load, no clock read   | 2 clock reads + histogram per batch of `k` ([`record_timer_n`]) |
+//! | value questions | 1 ledger charge per batch of `k`: 2 `fetch_add`s | same, plus 2 clock reads + histogram per batch ([`record_timer_n`]) |
 //!
 //! A value-question batch is one cell, one object × one attribute: the
 //! online phase and preprocessing (statistics collection, refinement,
-//! regression rows) both ask `k` answers per cell in one batch.
+//! regression rows) both ask `k` answers per cell in one batch. The
+//! crowd charges its ledger once per batch (`BudgetLedger::charge_up_to`
+//! in `disq-crowd`), so the question-kind and spend counters move once
+//! per cell, by the number of answers charged.
 
 #![warn(missing_docs)]
 
@@ -85,14 +88,29 @@ pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink, MEMORY_SINK_DEFAULT_C
 pub use span::{thread_alloc_bytes, thread_allocs, RequestGuard, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Once, RwLock};
+use std::sync::{Arc, Once, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 /// Fast-path gate: true iff a sink or a flight recorder is installed.
+/// Only stored under [`DEST`]'s write lock, so it always matches the
+/// slot once a change to the slot has returned.
 static ACTIVE: AtomicBool = AtomicBool::new(false);
-static SINK: RwLock<Option<Arc<dyn TraceSink>>> = RwLock::new(None);
-static RECORDER: RwLock<Option<Arc<FlightRecorder>>> = RwLock::new(None);
+/// Where events go: the sink and the flight recorder share one lock, so
+/// an event takes one read lock and an install or uninstall updates
+/// both the slot and [`ACTIVE`] in one critical section. Every update
+/// replaces whole `Option`s, so a guard recovered from a poisoned lock
+/// still holds a valid slot.
+static DEST: RwLock<Destinations> = RwLock::new(Destinations {
+    sink: None,
+    recorder: None,
+});
 static ENV_INIT: Once = Once::new();
+
+/// The two process-global event destinations.
+struct Destinations {
+    sink: Option<Arc<dyn TraceSink>>,
+    recorder: Option<Arc<FlightRecorder>>,
+}
 
 /// Environment variable naming the JSONL trace file.
 pub const TRACE_ENV_VAR: &str = "DISQ_TRACE";
@@ -105,11 +123,21 @@ pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed)
 }
 
-/// Recomputes the fast-path gate from both destination slots. Called
-/// after a slot empties; installs set the gate directly.
-fn refresh_active() {
-    let on = SINK.read().unwrap().is_some() || RECORDER.read().unwrap().is_some();
-    ACTIVE.store(on, Ordering::Relaxed);
+/// The destination slot under its read lock.
+fn destinations() -> RwLockReadGuard<'static, Destinations> {
+    DEST.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` on the destination slot under its write lock, then sets the
+/// fast-path gate from the slot before the lock is released.
+fn update_destinations<R>(f: impl FnOnce(&mut Destinations) -> R) -> R {
+    let mut dest = DEST.write().unwrap_or_else(PoisonError::into_inner);
+    let out = f(&mut dest);
+    ACTIVE.store(
+        dest.sink.is_some() || dest.recorder.is_some(),
+        Ordering::Relaxed,
+    );
+    out
 }
 
 /// Allocates a process-unique audit id, correlating one
@@ -125,8 +153,7 @@ pub fn next_audit_id() -> u64 {
 /// Installs `sink` as the process-global trace destination, replacing
 /// any previous sink (which is flushed and returned).
 pub fn install(sink: Arc<dyn TraceSink>) -> Option<Arc<dyn TraceSink>> {
-    let old = SINK.write().unwrap().replace(sink);
-    ACTIVE.store(true, Ordering::Relaxed);
+    let old = update_destinations(|d| d.sink.replace(sink));
     if let Some(old) = &old {
         old.flush();
     }
@@ -137,8 +164,7 @@ pub fn install(sink: Arc<dyn TraceSink>) -> Option<Arc<dyn TraceSink>> {
 /// `NullSink` behaviour (tracing stays active if a flight recorder is
 /// still installed).
 pub fn uninstall() -> Option<Arc<dyn TraceSink>> {
-    let old = SINK.write().unwrap().take();
-    refresh_active();
+    let old = update_destinations(|d| d.sink.take());
     if let Some(old) = &old {
         old.flush();
     }
@@ -149,17 +175,13 @@ pub fn uninstall() -> Option<Arc<dyn TraceSink>> {
 /// returning any previous one. Events then fan out to both the sink
 /// (if any) and the recorder.
 pub fn install_recorder(rec: Arc<FlightRecorder>) -> Option<Arc<FlightRecorder>> {
-    let old = RECORDER.write().unwrap().replace(rec);
-    ACTIVE.store(true, Ordering::Relaxed);
-    old
+    update_destinations(|d| d.recorder.replace(rec))
 }
 
 /// Removes the global flight recorder, returning it (tracing stays
 /// active if a sink is still installed).
 pub fn uninstall_recorder() -> Option<Arc<FlightRecorder>> {
-    let old = RECORDER.write().unwrap().take();
-    refresh_active();
-    old
+    update_destinations(|d| d.recorder.take())
 }
 
 /// Installs the recorder `make` builds as the process-global flight
@@ -169,32 +191,31 @@ pub fn uninstall_recorder() -> Option<Arc<FlightRecorder>> {
 pub fn install_recorder_if_absent(
     make: impl FnOnce() -> FlightRecorder,
 ) -> Option<Arc<FlightRecorder>> {
-    let mut slot = RECORDER.write().unwrap();
-    if slot.is_some() {
-        return None;
-    }
-    let rec = Arc::new(make());
-    *slot = Some(Arc::clone(&rec));
-    ACTIVE.store(true, Ordering::Relaxed);
-    Some(rec)
+    update_destinations(|d| {
+        if d.recorder.is_some() {
+            return None;
+        }
+        let rec = Arc::new(make());
+        d.recorder = Some(Arc::clone(&rec));
+        Some(rec)
+    })
 }
 
 /// Removes the global flight recorder if it is `rec`; returns whether it
 /// did. A recorder someone else installed in its place stays.
 pub fn uninstall_recorder_if(rec: &Arc<FlightRecorder>) -> bool {
-    let mut slot = RECORDER.write().unwrap();
-    if !slot.as_ref().is_some_and(|r| Arc::ptr_eq(r, rec)) {
-        return false;
-    }
-    *slot = None;
-    drop(slot);
-    refresh_active();
-    true
+    update_destinations(|d| {
+        let ours = d.recorder.as_ref().is_some_and(|r| Arc::ptr_eq(r, rec));
+        if ours {
+            d.recorder = None;
+        }
+        ours
+    })
 }
 
 /// The installed flight recorder, if any.
 pub fn recorder() -> Option<Arc<FlightRecorder>> {
-    RECORDER.read().unwrap().clone()
+    destinations().recorder.clone()
 }
 
 /// Installs a [`JsonlSink`] at the path named by `DISQ_TRACE` and starts
@@ -241,11 +262,13 @@ pub(crate) fn emit_at(at: Option<Instant>, build: impl FnOnce() -> TraceEvent) {
     if !active() {
         return;
     }
-    let sink = SINK.read().unwrap().clone();
-    let rec = RECORDER.read().unwrap().clone();
-    if sink.is_none() && rec.is_none() {
-        return;
-    }
+    let (sink, rec) = {
+        let dest = destinations();
+        if dest.sink.is_none() && dest.recorder.is_none() {
+            return;
+        }
+        (dest.sink.clone(), dest.recorder.clone())
+    };
     let event = build();
     if let Some(sink) = sink {
         sink.emit(&event);
@@ -258,7 +281,7 @@ pub(crate) fn emit_at(at: Option<Instant>, build: impl FnOnce() -> TraceEvent) {
 
 /// Flushes the installed sink, if any.
 pub fn flush() {
-    if let Some(sink) = SINK.read().unwrap().as_ref() {
+    if let Some(sink) = destinations().sink.as_ref() {
         sink.flush();
     }
 }

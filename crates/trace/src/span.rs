@@ -1,7 +1,7 @@
 //! Hierarchical causal spans: RAII guards over a thread-local stack.
 //!
 //! A span is one timed region of the pipeline — `preprocess`, one
-//! dismantle round, one online object — emitted as a
+//! dismantle round, one online query's object sweep — emitted as a
 //! [`TraceEvent::SpanStart`]/[`TraceEvent::SpanEnd`] pair through the
 //! installed [`crate::TraceSink`]. Spans nest: each start records the id
 //! of the innermost open span on the same thread as its parent, so a
