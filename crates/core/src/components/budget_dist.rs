@@ -26,10 +26,11 @@
 //!   (`O(n·k³)` per grant). Owns the jitter-rescue ladder, so it is also
 //!   the fallback target.
 //!
-//! Select with `DISQ_SOLVER=dense|incremental|check` (read once per
-//! process) or per-thread via [`with_engine`]. `check` runs both engines
+//! Production always runs the incremental engine. Tests and the kernels
+//! bench substitute another per thread via [`with_engine`]: the dense
+//! engine as the reference oracle, or `Check`, which runs both engines
 //! and panics unless the allocations are identical and the objectives
-//! agree to 1e-9 relative — a debugging mode for new statistics regimes.
+//! agree to 1e-9 relative.
 //!
 //! # Tie-breaking contract
 //!
@@ -46,7 +47,6 @@ use disq_crowd::Money;
 use disq_stats::{Breakdown, EvalWorkspace, GreedyEval, StatsTrio};
 use disq_trace::{Counter, TraceEvent};
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Gains below this are considered numerical noise and stop the greedy
 /// loop (prevents burning budget on zero-signal attributes).
@@ -66,23 +66,16 @@ pub enum SolverEngine {
     Check,
 }
 
-static ENV_ENGINE: OnceLock<SolverEngine> = OnceLock::new();
-
 thread_local! {
     static ENGINE_OVERRIDE: Cell<Option<SolverEngine>> = const { Cell::new(None) };
 }
 
 /// The engine in effect on this thread: the [`with_engine`] override if
-/// inside one, else the process-wide `DISQ_SOLVER` choice (defaulting to
-/// [`SolverEngine::Incremental`]; the variable is read once per process).
+/// inside one, else [`SolverEngine::Incremental`].
 pub fn current_engine() -> SolverEngine {
-    ENGINE_OVERRIDE.with(|c| c.get()).unwrap_or_else(|| {
-        *ENV_ENGINE.get_or_init(|| match std::env::var("DISQ_SOLVER").as_deref() {
-            Ok("dense") => SolverEngine::Dense,
-            Ok("check") => SolverEngine::Check,
-            _ => SolverEngine::Incremental,
-        })
-    })
+    ENGINE_OVERRIDE
+        .with(|c| c.get())
+        .unwrap_or(SolverEngine::Incremental)
 }
 
 /// Runs `f` with `engine` forced on the current thread (restored on exit,

@@ -10,15 +10,13 @@
 //! budget grants) integerizes the scores, so the experiment tables are
 //! byte-identical under either engine (proved by
 //! `tests/stats_engines.rs` at the workspace root, the same contract the
-//! `DISQ_SOLVER` engines honor).
+//! budget-distribution engines honor).
 //!
-//! Select with `DISQ_STATS=batch|stream` (read once per process) or
-//! per-thread via [`with_stats_engine`]. The default is
-//! [`StatsEngine::Stream`].
+//! Production always runs [`StatsEngine::Stream`]. Tests substitute the
+//! batch reference per thread via [`with_stats_engine`].
 
 use disq_stats::{covariance, sample_variance, streaming_covariance, streaming_variance};
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Which implementation computes trio-construction statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,23 +27,16 @@ pub enum StatsEngine {
     Stream,
 }
 
-static ENV_ENGINE: OnceLock<StatsEngine> = OnceLock::new();
-
 thread_local! {
     static ENGINE_OVERRIDE: Cell<Option<StatsEngine>> = const { Cell::new(None) };
 }
 
 /// The engine in effect on this thread: the [`with_stats_engine`]
-/// override if inside one, else the process-wide `DISQ_STATS` choice
-/// (defaulting to [`StatsEngine::Stream`]; the variable is read once per
-/// process).
+/// override if inside one, else [`StatsEngine::Stream`].
 pub fn current_stats_engine() -> StatsEngine {
-    ENGINE_OVERRIDE.with(|c| c.get()).unwrap_or_else(|| {
-        *ENV_ENGINE.get_or_init(|| match std::env::var("DISQ_STATS").as_deref() {
-            Ok("batch") => StatsEngine::Batch,
-            _ => StatsEngine::Stream,
-        })
-    })
+    ENGINE_OVERRIDE
+        .with(|c| c.get())
+        .unwrap_or(StatsEngine::Stream)
 }
 
 /// Runs `f` with `engine` forced on the current thread (restored on exit,

@@ -82,7 +82,8 @@ usage:
       differing query counts, since p99 is per-request.
 
   disq-insight serve <trace.jsonl> is not a thing: live metrics come
-      from the traced process itself via DISQ_METRICS_ADDR=127.0.0.1:PORT.
+      from a running disq-serve daemon's /metrics route; a batch run's
+      worker and drift information is in its trace (see workers, explain).
 
 exit codes: 0 = success, 1 = gate failure (perf regression, malformed
 ledger), 2 = usage error, 3 = no data (missing or empty input where an

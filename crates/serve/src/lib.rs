@@ -561,7 +561,7 @@ impl Engine {
     }
 
     /// Mirrors live serving state into the Prometheus gauge registry
-    /// (`DISQ_METRICS_ADDR` scrapes pick these up).
+    /// (`/metrics` scrapes pick these up).
     fn publish_gauges(&self) {
         let snap = self.snapshot();
         disq_trace::gauge::set(

@@ -4,7 +4,8 @@
 //! timer becomes a `disq_kernel_<name>_seconds` histogram whose `le`
 //! boundaries are the log₂ nanosecond buckets converted to seconds
 //! (cumulative, with the mandatory `+Inf`, `_sum` and `_count` series).
-//! The encoder is pure — [`crate::serve`] pairs it with a listener.
+//! The encoder is pure — `disq-serve`'s `/metrics` route pairs it with
+//! a listener.
 
 use crate::metrics::{Counter, RunSummary, Timer, HIST_BUCKETS};
 use std::fmt::Write as _;
@@ -26,8 +27,6 @@ fn counter_help(c: Counter) -> &'static str {
         Counter::SprtSamples => "Worker answers consumed by SPRT dialogues",
         Counter::BudgetSteps => "Greedy budget-distribution grants",
         Counter::RegressionFits => "Per-target regressions fitted",
-        Counter::ReplayServed => "Answers served from a replay log",
-        Counter::ReplayFellThrough => "Replay lookups that fell through to live",
         Counter::SolverFallbacks => "Incremental budget solves rescued by the dense engine",
         Counter::ProbeCacheHits => "Loss probes answered from the dismantle probe cache",
         Counter::AuditedObjects => "Objects given a per-object error-attribution audit",

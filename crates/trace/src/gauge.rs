@@ -8,8 +8,8 @@
 //! attribute), far off the per-answer hot path, so a lock is fine and
 //! keeps the implementation dependency-free.
 //!
-//! [`render`] emits text exposition format 0.0.4; [`crate::serve`]
-//! appends it to the counter/histogram body from
+//! [`render`] emits text exposition format 0.0.4; `disq-serve`'s
+//! `/metrics` route appends it to the counter/histogram body from
 //! [`crate::expo::prometheus_text`] so one scrape sees everything.
 
 use std::collections::BTreeMap;
